@@ -10,6 +10,10 @@ class AirgapError(Exception):
     """Base class for all pipeline errors."""
 
 
+class MalformedInput(AirgapError, ValueError):
+    """A file or buffer from outside the program does not parse."""
+
+
 # ---- framing layer ----
 
 class EmptyPayload(AirgapError):

@@ -125,21 +125,13 @@ def trace_slot_ms(preset: chan.ChannelPreset, symbol_rate: float | None = None) 
 def payload_ber(key: bytes, received_bits: list[int]) -> float:
     """Best-effort bit error rate over the payload region only.
 
-    Uses the known transmit framing (payload FEC blocks start at bit 46)
-    rather than the receive-side sync search, so it stays defined even when
-    frame decoding fails outright; missing tail bits count as errors.
+    Uses the known transmit framing (payload FEC blocks start at
+    keyframe.PAYLOAD_START) rather than the receive-side sync search, so it
+    stays defined even when frame decoding fails outright; missing tail bits
+    read as zeros.
     """
-    start = keyframe.HEADER_BITS + 14  # skip header and coded length byte
-    wrong = 0
-    for i, byte in enumerate(key):
-        pos = start + 14 * i
-        hi_bits = received_bits[pos : pos + 7]
-        lo_bits = received_bits[pos + 7 : pos + 14]
-        hi_bits = list(hi_bits) + [0] * (7 - len(hi_bits))
-        lo_bits = list(lo_bits) + [0] * (7 - len(lo_bits))
-        hi, _ = keyframe.hamming74_decode(keyframe.bits_to_int(hi_bits))
-        lo, _ = keyframe.hamming74_decode(keyframe.bits_to_int(lo_bits))
-        wrong += bin(((hi << 4) | lo) ^ byte).count("1")
+    decoded = keyframe.decode_body(received_bits, keyframe.PAYLOAD_START, len(key))
+    wrong = sum(bin(got ^ sent).count("1") for got, sent in zip(decoded, key))
     return wrong / (8 * len(key))
 
 

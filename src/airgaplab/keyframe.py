@@ -19,6 +19,9 @@ from __future__ import annotations
 import secrets
 from dataclasses import dataclass
 
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
 from .errors import CrcMismatch, EmptyPayload, LengthOutOfRange, PayloadTooLong, SyncNotFound
 
 PREAMBLE = 0xAAAA
@@ -174,6 +177,13 @@ def bits_to_bytes(bits: list[int]) -> bytes:
     return bytes(bits_to_int(bits[i : i + 8]) for i in range(0, len(bits), 8))
 
 
+HEADER_PATTERN = int_to_bits(PREAMBLE, 16) + int_to_bits(SYNC_WORD, 16)
+SYNC_PATTERN = HEADER_PATTERN[16:]
+
+# First coded payload bit of a transmitted frame: header plus coded length byte.
+PAYLOAD_START = HEADER_BITS + 14
+
+
 def frame_bit_count(payload_len: int) -> int:
     """Exact frame size in bits for an L-byte payload: 32 + 14*(L+3)."""
     return HEADER_BITS + 14 * (payload_len + 3)
@@ -181,41 +191,43 @@ def frame_bit_count(payload_len: int) -> int:
 
 def frame_encode(payload: bytes) -> list[int]:
     """Frame and FEC-code a payload into a transmit-ready bit list."""
-    bits = int_to_bits(PREAMBLE, 16) + int_to_bits(SYNC_WORD, 16)
+    bits = list(HEADER_PATTERN)
     for byte in Frame.for_payload(payload).body():
         bits.extend(int_to_bits(hamming74_encode(byte >> 4), 7))
         bits.extend(int_to_bits(hamming74_encode(byte & 0x0F), 7))
     return bits
 
 
-def _sync_candidates(bits: list[int]) -> list[tuple[int, int]]:
-    """All window offsets matching the sync word, best match count first."""
-    sync_bits = int_to_bits(SYNC_WORD, 16)
-    found = []
-    for off in range(len(bits) - 15):
-        matches = sum(1 for i in range(16) if bits[off + i] == sync_bits[i])
-        if matches >= 16 - SYNC_MAX_MISMATCH:
-            found.append((off, matches))
-    found.sort(key=lambda item: (-item[1], item[0]))
-    return found
+def find_header(bits: list[int], pattern: list[int], max_mismatch: int) -> list[tuple[int, int]]:
+    """Every (offset, matches) where `pattern` fits `bits` with at most
+    `max_mismatch` wrong bits, best match count first, then earliest offset."""
+    width = len(pattern)
+    if len(bits) < width:
+        return []
+    matches = (sliding_window_view(np.asarray(bits), width) == np.asarray(pattern)).sum(axis=1)
+    offsets = np.flatnonzero(matches >= width - max_mismatch)
+    order = np.argsort(-matches[offsets], kind="stable")
+    return [(int(offsets[i]), int(matches[offsets[i]])) for i in order]
+
+
+def decode_body(bits: list[int], start: int, count: int) -> bytes:
+    """FEC-decode `count` body bytes whose first coded bit sits at `start`.
+
+    Each byte is two Hamming(7,4) codewords, high nibble first; bits past
+    the end of `bits` read as zeros.
+    """
+    coded = list(bits[start : start + 14 * count])
+    coded += [0] * (14 * count - len(coded))
+    nibbles = [hamming74_decode(bits_to_int(coded[i : i + 7]))[0] for i in range(0, len(coded), 7)]
+    return bytes((hi << 4) | lo for hi, lo in zip(nibbles[::2], nibbles[1::2]))
 
 
 def _decode_at(bits: list[int], start: int) -> bytes:
     """FEC-decode a frame body whose first coded bit sits at `start`."""
-
-    def read_byte(bit_pos: int) -> int:
-        hi_bits = bits[bit_pos : bit_pos + 7]
-        lo_bits = bits[bit_pos + 7 : bit_pos + 14]
-        hi_bits += [0] * (7 - len(hi_bits))
-        lo_bits += [0] * (7 - len(lo_bits))
-        hi, _ = hamming74_decode(bits_to_int(hi_bits))
-        lo, _ = hamming74_decode(bits_to_int(lo_bits))
-        return (hi << 4) | lo
-
-    length = read_byte(start)
+    length = decode_body(bits, start, 1)[0]
     if not 1 <= length <= MAX_PAYLOAD:
         raise LengthOutOfRange(f"length byte {length} outside 1..{MAX_PAYLOAD}")
-    body = bytes(read_byte(start + 14 * (1 + i)) for i in range(length + 2))
+    body = decode_body(bits, start + 14, length + 2)
     # Frame construction re-verifies length and checksum consistency.
     frame = Frame(length, body[:length], int.from_bytes(body[length:], "big"))
     return frame.payload
@@ -229,13 +241,13 @@ def frame_decode(bits: list[int]) -> bytes:
     are zero-filled so damage beyond the bit count surfaces as CrcMismatch
     rather than an index error.
     """
-    candidates = _sync_candidates(bits)
+    candidates = find_header(bits, SYNC_PATTERN, SYNC_MAX_MISMATCH)
     if not candidates:
         raise SyncNotFound("no 16-bit window matches the sync word within tolerance")
     first_error: Exception | None = None
     for off, _ in candidates:
         try:
-            return _decode_at(bits, off + 16)
+            return _decode_at(bits, off + len(SYNC_PATTERN))
         except (LengthOutOfRange, CrcMismatch) as exc:
             if first_error is None:
                 first_error = exc

@@ -25,6 +25,7 @@ from .errors import (
     DuplicateName,
     InsufficientSlack,
     InvalidName,
+    MalformedInput,
     NoPayload,
     NoSuchFile,
     SizeOutOfRange,
@@ -79,15 +80,23 @@ class FatImage:
         self._parse_geometry()
 
     def _parse_geometry(self) -> None:
+        if len(self.data) < BYTES_PER_SECTOR:
+            raise MalformedInput(f"{len(self.data)} bytes cannot hold a boot sector")
         bps = struct.unpack_from("<H", self.data, 11)[0]
         spc = self.data[13]
         if bps != BYTES_PER_SECTOR or spc != SECTORS_PER_CLUSTER:
-            raise ValueError(f"unsupported geometry: {bps} B/sector, {spc} sectors/cluster")
+            raise MalformedInput(f"unsupported geometry: {bps} B/sector, {spc} sectors/cluster")
         tot16 = struct.unpack_from("<H", self.data, 19)[0]
         tot32 = struct.unpack_from("<I", self.data, 32)[0]
         self.total_sectors = tot16 or tot32
+        if self.total_sectors * BYTES_PER_SECTOR > len(self.data):
+            raise MalformedInput(
+                f"boot sector declares {self.total_sectors} sectors, image has {len(self.data)} bytes"
+            )
         self.fat_sectors = struct.unpack_from("<H", self.data, 22)[0]
         data_sectors = self.total_sectors - RESERVED_SECTORS - NUM_FATS * self.fat_sectors - ROOT_SECTORS
+        if data_sectors < 0:
+            raise MalformedInput(f"{self.fat_sectors}-sector FATs and root directory overrun the volume")
         self.cluster_count = data_sectors // SECTORS_PER_CLUSTER
 
     # -- region offsets (bytes) --

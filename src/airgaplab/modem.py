@@ -9,14 +9,15 @@ over time.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 import wave
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyTrace, NyquistViolation, SignalTooShort, SymbolRateTooHigh
-from .keyframe import PREAMBLE, SYNC_WORD, int_to_bits
+from .errors import EmptyTrace, MalformedInput, NyquistViolation, SignalTooShort, SymbolRateTooHigh
+from .keyframe import HEADER_PATTERN, find_header
 
 MIN_SAMPLES_PER_SYMBOL = 8
 
@@ -207,20 +208,6 @@ def _propose_offset(bank: _ToneBank, n_symbols: int) -> int:
     return best_off
 
 
-def _contains_frame_header(bits: list[int]) -> bool:
-    header = int_to_bits(PREAMBLE, 16) + int_to_bits(SYNC_WORD, 16)
-    for off in range(len(bits) - 31):
-        mismatches = 0
-        for i in range(32):
-            if bits[off + i] != header[i]:
-                mismatches += 1
-                if mismatches > HEADER_MATCH_TOLERANCE:
-                    break
-        if mismatches <= HEADER_MATCH_TOLERANCE:
-            return True
-    return False
-
-
 def _ook_threshold(energies: np.ndarray, cfg: ModemConfig) -> float:
     """Midpoint between the two energy clusters (2-means), gain-agnostic.
 
@@ -267,7 +254,9 @@ def _demodulate(w: Waveform, cfg: ModemConfig) -> list[int]:
     if proposed == 0:
         return aligned
     shifted = _harden(bank.soft_symbols(proposed, n_symbols), cfg)
-    if _contains_frame_header(shifted) and not _contains_frame_header(aligned):
+    if find_header(shifted, HEADER_PATTERN, HEADER_MATCH_TOLERANCE) and not find_header(
+        aligned, HEADER_PATTERN, HEADER_MATCH_TOLERANCE
+    ):
         return shifted
     return aligned
 
@@ -366,13 +355,17 @@ def write_trace_csv(path: str, trace: EventTrace) -> None:
 
 
 def read_trace_csv(path: str) -> EventTrace:
+    """Parse state,duration_ms rows; the header row is optional."""
     events: list[tuple[str, float]] = []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is not None and header[0] != "state":
-            events.append((header[0], float(header[1])))
-        for row in reader:
-            if row:
-                events.append((row[0], float(row[1])))
+        for number, row in enumerate(csv.reader(fh), 1):
+            if not row or (number == 1 and row[0] == "state"):
+                continue
+            try:
+                duration = float(row[1])
+            except (IndexError, ValueError):
+                raise MalformedInput(f"trace row {number}: want state,duration_ms, got {row}") from None
+            if not math.isfinite(duration):
+                raise MalformedInput(f"trace row {number}: duration {row[1]!r} is not finite")
+            events.append((row[0], duration))
     return EventTrace(events)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import CarrierTooSmall
-from .qr import QrMatrix, matrix_from_modules, size_for_version
+from ..errors import CarrierTooSmall, MalformedInput
+from .qr import QrMatrix, matrix_from_modules, read_netpbm, size_for_version
 
 MIN_AMPLITUDE = 1
 MAX_AMPLITUDE = 16
@@ -137,17 +137,13 @@ def to_pgm(img: GrayImage) -> str:
 
 
 def from_pgm(text: str) -> GrayImage:
-    tokens: list[str] = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0]
-        tokens.extend(line.split())
-    if not tokens or tokens[0] != "P2":
-        raise ValueError("not an ASCII PGM (P2) file")
-    width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    (width, height, maxval), raster = read_netpbm(text, "P2", 3)
     if maxval != 255:
-        raise ValueError("expected maxval 255")
-    values = tokens[4 : 4 + width * height]
+        raise MalformedInput("expected maxval 255")
+    values = raster[: width * height]
     if len(values) < width * height:
-        raise ValueError("PGM pixel data truncated")
+        raise MalformedInput("PGM pixel data truncated")
+    if not all(v.isdecimal() and int(v) <= 255 for v in values):
+        raise MalformedInput("PGM pixels must be integers in 0..255")
     pixels = np.array([int(v) for v in values], dtype=np.uint8).reshape(height, width)
     return GrayImage(width, height, pixels)

@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ..errors import MalformedFormatInfo, PayloadTooLarge, UncorrectableErrors
+from ..errors import MalformedFormatInfo, MalformedInput, PayloadTooLarge, UncorrectableErrors
+from ..keyframe import bits_to_bytes, bits_to_int, bytes_to_bits, int_to_bits
 
 MIN_VERSION = 1
 MAX_VERSION = 10
@@ -235,6 +236,16 @@ def byte_mode_capacity(version: int, ec_level: str) -> int:
     return (data_codeword_count(version, ec_level) * 8 - 4 - char_count_bits(version)) // 8
 
 
+def padding_room(version: int, ec_level: str, payload_len: int) -> int:
+    """Pad codewords left after a byte-mode segment and its terminator.
+
+    Mode, count and the 4-bit terminator always fill whole codewords, so
+    this is the spare byte capacity; it is negative when the payload does
+    not fit.
+    """
+    return byte_mode_capacity(version, ec_level) - payload_len
+
+
 def alignment_positions(version: int) -> list[int]:
     _check_version(version)
     if version == 1:
@@ -247,42 +258,6 @@ def alignment_positions(version: int) -> list[int]:
         positions.insert(1, pos)
         pos -= step
     return positions
-
-
-@lru_cache(maxsize=None)
-def function_mask(version: int) -> tuple[tuple[bool, ...], ...]:
-    """Grid marking modules that carry structure rather than data bits."""
-    size = size_for_version(version)
-    is_fn = [[False] * size for _ in range(size)]
-
-    def mark(x: int, y: int) -> None:
-        if 0 <= x < size and 0 <= y < size:
-            is_fn[y][x] = True
-
-    for i in range(size):  # timing
-        mark(6, i)
-        mark(i, 6)
-    for cx, cy in ((3, 3), (size - 4, 3), (3, size - 4)):  # finders + separators
-        for dy in range(-4, 5):
-            for dx in range(-4, 5):
-                mark(cx + dx, cy + dy)
-    centers = alignment_positions(version)
-    skips = {(centers[0], centers[0]), (centers[0], centers[-1]), (centers[-1], centers[0])} if centers else set()
-    for ay in centers:
-        for ax in centers:
-            if (ax, ay) in skips:
-                continue
-            for dy in range(-2, 3):
-                for dx in range(-2, 3):
-                    mark(ax + dx, ay + dy)
-    for x, y in _format_positions_copy1(size) + _format_positions_copy2(size):
-        mark(x, y)
-    mark(8, size - 8)  # fixed dark module
-    if version >= 7:
-        for i in range(18):
-            mark(size - 11 + i % 3, i // 3)
-            mark(i // 3, size - 11 + i % 3)
-    return tuple(tuple(row) for row in is_fn)
 
 
 def _format_positions_copy1(size: int) -> list[tuple[int, int]]:
@@ -345,24 +320,12 @@ def assemble_data_codewords(
     hook); any remaining fill continues the 0xEC/0x11 alternation by pad
     index, so untouched symbols stay bit-identical to a standard encoder.
     """
-    cap_bits = data_codeword_count(version, ec_level) * 8
-    cc = char_count_bits(version)
-    used = 4 + cc + 8 * len(data)
-    if used > cap_bits:
+    pad_count = padding_room(version, ec_level, len(data))
+    if pad_count < 0:
         raise PayloadTooLarge(f"{len(data)} bytes exceed version {version}-{ec_level} capacity")
-    bits: list[int] = []
-
-    def push(value: int, width: int) -> None:
-        bits.extend((value >> (width - 1 - i)) & 1 for i in range(width))
-
-    push(0b0100, 4)
-    push(len(data), cc)
-    for byte in data:
-        push(byte, 8)
-    push(0, min(4, cap_bits - used))
-    assert len(bits) % 8 == 0
-    codewords = [int("".join(map(str, bits[i : i + 8])), 2) for i in range(0, len(bits), 8)]
-    pad_count = cap_bits // 8 - len(codewords)
+    bits = int_to_bits(0b0100, 4) + int_to_bits(len(data), char_count_bits(version))
+    bits += bytes_to_bits(data) + [0] * 4  # terminator
+    codewords = list(bits_to_bytes(bits))
     pad = [PAD_BYTES[i % 2] for i in range(pad_count)]
     if pad_override is not None:
         if len(pad_override) > pad_count:
@@ -472,6 +435,20 @@ def _draw_format(modules: list[list[bool]], ec_level: str, mask: int) -> None:
         modules[y][x] = (code >> i) & 1 == 1
 
 
+@lru_cache(maxsize=None)
+def function_mask(version: int) -> tuple[tuple[bool, ...], ...]:
+    """Grid marking modules that carry structure rather than data bits.
+
+    These are exactly the cells the function-pattern and format drawing
+    writes; format positions do not depend on level or mask.
+    """
+    size = size_for_version(version)
+    grid = [[None] * size for _ in range(size)]
+    _draw_function_patterns(grid, version)
+    _draw_format(grid, "L", 0)
+    return tuple(tuple(cell is not None for cell in row) for row in grid)
+
+
 def _zigzag_coords(version: int):
     """Data-module coordinates in placement order."""
     size = size_for_version(version)
@@ -490,11 +467,9 @@ def _zigzag_coords(version: int):
 
 
 def _place_codewords(modules: list[list[bool]], codewords: list[int], version: int, mask: int) -> None:
-    total_bits = len(codewords) * 8
+    bits = bytes_to_bits(bytes(codewords))
     for i, (x, y) in enumerate(_zigzag_coords(version)):
-        bit = False
-        if i < total_bits:
-            bit = (codewords[i >> 3] >> (7 - (i & 7))) & 1 == 1
+        bit = i < len(bits) and bits[i] == 1
         modules[y][x] = bit ^ (MASK_PATTERNS[mask](x, y) == 0)
 
 
@@ -512,12 +487,8 @@ def select_version(payload_len: int, ec_level: str, extra_pad_bytes: int = 0) ->
     """Smallest version whose byte-mode capacity leaves the requested padding."""
     _check_level(ec_level)
     for version in range(MIN_VERSION, MAX_VERSION + 1):
-        if byte_mode_capacity(version, ec_level) >= payload_len:
-            cap_bits = data_codeword_count(version, ec_level) * 8
-            used = 4 + char_count_bits(version) + 8 * payload_len
-            term = min(4, cap_bits - used)
-            if (cap_bits - used - term) // 8 >= extra_pad_bytes:
-                return version
+        if padding_room(version, ec_level, payload_len) >= max(extra_pad_bytes, 0):
+            return version
     raise PayloadTooLarge(
         f"{payload_len} bytes (+{extra_pad_bytes} pad) exceed version {MAX_VERSION} at level {ec_level}"
     )
@@ -564,8 +535,7 @@ def read_codewords(m: QrMatrix) -> tuple[list[int], str]:
         bits.append(int(m.modules[y][x]) ^ (1 if MASK_PATTERNS[mask](x, y) == 0 else 0))
         if len(bits) == total * 8:
             break
-    codewords = [int("".join(map(str, bits[i : i + 8])), 2) for i in range(0, len(bits), 8)]
-    return codewords, level
+    return list(bits_to_bytes(bits)), level
 
 
 def decode_data_codewords(m: QrMatrix) -> tuple[list[int], str]:
@@ -576,22 +546,18 @@ def decode_data_codewords(m: QrMatrix) -> tuple[list[int], str]:
 
 def parse_byte_segment(data_codewords: list[int], version: int) -> tuple[bytes, int]:
     """Parse the byte-mode segment; returns (text, pad_region_start_index)."""
-    bits: list[int] = []
-    for cw in data_codewords:
-        bits.extend((cw >> (7 - i)) & 1 for i in range(8))
-    mode = int("".join(map(str, bits[0:4])), 2)
+    bits = bytes_to_bits(bytes(data_codewords))
+    mode = bits_to_int(bits[0:4])
     if mode == 0:
         return b"", (4 + 7) // 8  # terminator-only symbol
     if mode != 0b0100:
         raise ValueError(f"unsupported segment mode {mode:04b}")
     cc = char_count_bits(version)
-    count = int("".join(map(str, bits[4 : 4 + cc])), 2)
+    count = bits_to_int(bits[4 : 4 + cc])
     start = 4 + cc
     if start + 8 * count > len(bits):
         raise ValueError("segment length exceeds symbol capacity")
-    text = bytes(
-        int("".join(map(str, bits[start + 8 * i : start + 8 * i + 8])), 2) for i in range(count)
-    )
+    text = bits_to_bytes(bits[start : start + 8 * count])
     used = start + 8 * count
     term = min(4, len(bits) - used)
     pad_start = (used + term + 7) // 8
@@ -608,10 +574,9 @@ def qr_decode(m: QrMatrix) -> bytes:
 def matrix_from_modules(modules: list[list[bool]]) -> QrMatrix:
     """Wrap a raw module grid, inferring version and (best effort) level."""
     size = len(modules)
-    if size < 21 or (size - 17) % 4:
-        raise ValueError(f"invalid symbol side {size}")
     version = (size - 17) // 4
-    _check_version(version)
+    if (size - 17) % 4 or not MIN_VERSION <= version <= MAX_VERSION:
+        raise MalformedInput(f"symbol side {size} is not a version {MIN_VERSION}..{MAX_VERSION} QR")
     m = QrMatrix(version, None, modules)
     try:
         m.ec_level = read_format(m)[0]
@@ -630,20 +595,32 @@ def to_pbm(m: QrMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def from_pbm(text: str) -> QrMatrix:
+def read_netpbm(text: str, magic: str, n_fields: int) -> tuple[list[int], list[str]]:
+    """Split an ASCII netpbm file into its header integers and raster tokens.
+
+    Comments run from '#' to the end of the line.  A wrong magic number or
+    a header with fewer than `n_fields` non-negative integers raises
+    MalformedInput.
+    """
     tokens: list[str] = []
     for line in text.splitlines():
-        line = line.split("#", 1)[0]
-        tokens.extend(line.split())
-    if not tokens or tokens[0] != "P1":
-        raise ValueError("not an ASCII PBM (P1) file")
-    width, height = int(tokens[1]), int(tokens[2])
-    bits = tokens[3:]
+        tokens.extend(line.split("#", 1)[0].split())
+    if not tokens or tokens[0] != magic:
+        raise MalformedInput(f"not an ASCII netpbm ({magic}) file")
+    fields = tokens[1 : 1 + n_fields]
+    if len(fields) < n_fields or not all(f.isdecimal() for f in fields):
+        raise MalformedInput(f"{magic} header needs {n_fields} non-negative integers, got {fields}")
+    return [int(f) for f in fields], tokens[1 + n_fields :]
+
+
+def from_pbm(text: str) -> QrMatrix:
+    (width, height), raster = read_netpbm(text, "P1", 2)
+    bits = raster[: width * height]
     if len(bits) < width * height:
-        raise ValueError("PBM pixel data truncated")
-    modules = [
-        [bits[y * width + x] == "1" for x in range(width)] for y in range(height)
-    ]
+        raise MalformedInput("PBM pixel data truncated")
+    if any(bit not in ("0", "1") for bit in bits):
+        raise MalformedInput("PBM pixels must be 0 or 1")
     if width != height:
-        raise ValueError("QR symbol must be square")
-    return matrix_from_modules(modules)
+        raise MalformedInput("QR symbol must be square")
+    rows = [bits[y * width : (y + 1) * width] for y in range(height)]
+    return matrix_from_modules([[bit == "1" for bit in row] for row in rows])

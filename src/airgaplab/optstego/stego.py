@@ -13,10 +13,9 @@ from .qr import (
     PAD_BYTES,
     QrMatrix,
     assemble_data_codewords,
-    char_count_bits,
-    data_codeword_count,
     decode_data_codewords,
     matrix_from_data_codewords,
+    padding_room,
     parse_byte_segment,
     select_version,
 )
@@ -24,14 +23,12 @@ from .qr import (
 
 def stego_capacity(version: int, ec_level: str, payload_len: int) -> int:
     """Padding bytes left after mode/length/payload/terminator."""
-    cap_bits = data_codeword_count(version, ec_level) * 8
-    used = 4 + char_count_bits(version) + 8 * payload_len
-    if used > cap_bits:
+    room = padding_room(version, ec_level, payload_len)
+    if room < 0:
         raise PayloadTooLarge(
             f"{payload_len} bytes exceed version {version}-{ec_level} capacity"
         )
-    terminator = min(4, cap_bits - used)
-    return (cap_bits - used - terminator) // 8
+    return room
 
 
 def stego_embed(text: bytes, secret: bytes, ec_level: str = "M") -> QrMatrix:

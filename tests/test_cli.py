@@ -108,6 +108,13 @@ class TestQrStego:
         assert code == 1
         assert "NoSecret" in err
 
+    def test_extract_truncated_pbm_fails_cleanly(self, capsys, tmp_path):
+        pbm_path = tmp_path / "bad.pbm"
+        pbm_path.write_text("P1\n21\n")
+        code, _, err = run_cli(capsys, "qr-stego", "extract", "--pbm", str(pbm_path))
+        assert code == 1
+        assert err.startswith("error: MalformedInput")
+
     def test_embed_requires_text_and_secret(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["qr-stego", "embed", "--pbm", str(tmp_path / "x.pbm")])
@@ -148,6 +155,13 @@ class TestUsb:
         with pytest.raises(SystemExit) as exc:
             main(["usb", "hide-slack", "--image", str(tmp_path / "w.img")])
         assert exc.value.code == 2
+
+    def test_fsck_on_tiny_file_fails_cleanly(self, capsys, tmp_path):
+        img = tmp_path / "tiny.img"
+        img.write_bytes(bytes(10))
+        code, out, err = run_cli(capsys, "usb", "fsck", "--image", str(img))
+        assert code == 1 and out == ""
+        assert err.startswith("error: MalformedInput")
 
 
 class TestDeterminism:

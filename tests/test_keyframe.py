@@ -3,16 +3,23 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from airgaplab.errors import CrcMismatch, EmptyPayload, LengthOutOfRange, PayloadTooLong, SyncNotFound
 from airgaplab.keyframe import (
     Frame,
     HEADER_BITS,
+    HEADER_PATTERN,
     PREAMBLE,
+    SYNC_PATTERN,
     SYNC_WORD,
     PrivateKey,
+    bits_to_int,
     bits_to_text,
     crc16,
+    decode_body,
+    find_header,
     frame_bit_count,
     frame_decode,
     frame_encode,
@@ -253,3 +260,78 @@ class TestBitstreamText:
     def test_rejects_foreign_characters(self):
         with pytest.raises(ValueError):
             text_to_bits("0101x01")
+
+
+def brute_force_header_search(bits, pattern, max_mismatch):
+    """Reference: score every window in plain Python, then sort."""
+    width = len(pattern)
+    found = []
+    for off in range(len(bits) - width + 1):
+        matches = sum(1 for i in range(width) if bits[off + i] == pattern[i])
+        if matches >= width - max_mismatch:
+            found.append((off, matches))
+    found.sort(key=lambda item: (-item[1], item[0]))
+    return found
+
+
+def per_nibble_body_reader(bits, start, count):
+    """Reference: read each byte as two zero-padded 7-bit codewords."""
+    out = []
+    for i in range(count):
+        pos = start + 14 * i
+        hi_bits = list(bits[pos : pos + 7])
+        lo_bits = list(bits[pos + 7 : pos + 14])
+        hi_bits += [0] * (7 - len(hi_bits))
+        lo_bits += [0] * (7 - len(lo_bits))
+        hi, _ = hamming74_decode(bits_to_int(hi_bits))
+        lo, _ = hamming74_decode(bits_to_int(lo_bits))
+        out.append((hi << 4) | lo)
+    return bytes(out)
+
+
+@st.composite
+def bits_with_planted_headers(draw):
+    """Random bits with up to three copies of a pattern, each with 0-3 flips."""
+    pattern = draw(st.sampled_from([SYNC_PATTERN, HEADER_PATTERN]))
+    bits = draw(st.lists(st.integers(0, 1), max_size=120))
+    for _ in range(draw(st.integers(0, 3))):
+        copy = list(pattern)
+        for i in draw(st.lists(st.integers(0, len(pattern) - 1), max_size=3)):
+            copy[i] ^= 1
+        at = draw(st.integers(0, len(bits)))
+        bits[at:at] = copy
+    return bits, pattern
+
+
+class TestFindHeader:
+    @given(case=bits_with_planted_headers(), max_mismatch=st.integers(0, 3))
+    def test_matches_brute_force(self, case, max_mismatch):
+        bits, pattern = case
+        assert find_header(bits, pattern, max_mismatch) == brute_force_header_search(
+            bits, pattern, max_mismatch
+        )
+
+    def test_patterns_are_the_transmitted_header(self):
+        assert HEADER_PATTERN == int_to_bits(PREAMBLE, 16) + int_to_bits(SYNC_WORD, 16)
+        assert SYNC_PATTERN == HEADER_PATTERN[16:] and len(HEADER_PATTERN) == HEADER_BITS
+
+    def test_shorter_than_pattern_finds_nothing(self):
+        assert find_header(SYNC_PATTERN[:15], SYNC_PATTERN, 3) == []
+
+
+class TestDecodeBody:
+    def test_matches_per_nibble_reader_on_damaged_and_truncated_streams(self):
+        rng = random.Random(15)
+        for _ in range(200):
+            bits = frame_encode(bytes(rng.randrange(256) for _ in range(rng.randint(1, 40))))
+            for _ in range(rng.randint(0, 30)):
+                bits[rng.randrange(len(bits))] ^= 1
+            bits = bits[: rng.randint(0, len(bits))]
+            start = rng.randint(0, len(bits) + 20)
+            count = rng.randint(0, 45)
+            assert decode_body(bits, start, count) == per_nibble_body_reader(bits, start, count)
+
+    def test_clean_body_round_trip(self):
+        payload = b"body"
+        frame = Frame.for_payload(payload)
+        assert decode_body(frame_encode(payload), HEADER_BITS, 7) == frame.body()

@@ -9,6 +9,7 @@ from airgaplab.errors import (
     DuplicateName,
     InsufficientSlack,
     InvalidName,
+    MalformedInput,
     NoPayload,
     NoSuchFile,
     SizeOutOfRange,
@@ -72,6 +73,23 @@ class TestCreateImage:
         clone = load_image(bytes(image.data))
         assert clone.cluster_count == image.cluster_count
         assert fsck(clone).ok
+
+
+class TestLoadImage:
+    def test_buffer_shorter_than_boot_sector_rejected(self):
+        with pytest.raises(MalformedInput):
+            load_image(bytes(10))
+
+    def test_truncated_image_rejected(self):
+        raw = bytes(create_image(4 * MIB).data)
+        with pytest.raises(MalformedInput):
+            load_image(raw[: 64 * 1024])
+
+    def test_fat_overrunning_volume_rejected(self):
+        raw = bytearray(create_image(4 * MIB).data)
+        raw[22:24] = (0xFFFF).to_bytes(2, "little")  # sectors per FAT
+        with pytest.raises(MalformedInput):
+            load_image(bytes(raw))
 
 
 class TestAddAndRead:

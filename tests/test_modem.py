@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 from scipy.signal import hilbert
 
-from airgaplab.errors import EmptyTrace, NyquistViolation, SignalTooShort, SymbolRateTooHigh
+from airgaplab.errors import (
+    EmptyTrace,
+    MalformedInput,
+    NyquistViolation,
+    SignalTooShort,
+    SymbolRateTooHigh,
+)
 from airgaplab.keyframe import frame_decode, frame_encode
 from airgaplab.modem import (
     EventTrace,
@@ -277,3 +283,18 @@ class TestFileFormats:
         back = read_trace_csv(path)
         assert [s for s, _ in back.events] == [s for s, _ in trace.events]
         assert all(math.isclose(a, b) for (_, a), (_, b) in zip(back.events, trace.events))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "state,duration_ms\non\n",  # short row
+            "on\n",  # short first row, no header
+            "state,duration_ms\non,12.5\noff,soon\n",  # non-numeric duration
+            "state,duration_ms\non,nan\n",  # non-finite duration
+        ],
+    )
+    def test_trace_csv_rejects_malformed_rows(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(MalformedInput):
+            read_trace_csv(str(path))

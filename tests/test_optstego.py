@@ -5,7 +5,14 @@ import random
 import numpy as np
 import pytest
 
-from airgaplab.errors import CarrierTooSmall, MalformedFormatInfo, NoSecret, PayloadTooLarge, SecretTooLarge
+from airgaplab.errors import (
+    CarrierTooSmall,
+    MalformedFormatInfo,
+    MalformedInput,
+    NoSecret,
+    PayloadTooLarge,
+    SecretTooLarge,
+)
 from airgaplab.optstego import (
     GrayImage,
     from_pgm,
@@ -190,3 +197,19 @@ class TestPgm:
     def test_rejects_non_pgm(self):
         with pytest.raises(ValueError):
             from_pgm("P1\n2 2\n0 0 0 0\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "P2\n2 2\n",  # truncated header
+            "P2\n2 two\n255\n0 0 0 0\n",  # non-integer dimension
+            "P2\n2 2\n15\n0 0 0 0\n",  # maxval other than 255
+            "P2\n2 2\n255\n0 0 0\n",  # truncated raster
+            "P2\n2 2\n255\n0 0 0 256\n",  # value above 255
+            "P2\n2 2\n255\n0 0 0 -1\n",  # negative value
+            "P2\n2 2\n255\n0 0 0 1.5\n",  # non-integer value
+        ],
+    )
+    def test_rejects_malformed(self, text):
+        with pytest.raises(MalformedInput):
+            from_pgm(text)

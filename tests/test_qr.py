@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from airgaplab.errors import MalformedFormatInfo, PayloadTooLarge, UncorrectableErrors
+from airgaplab.errors import MalformedFormatInfo, MalformedInput, PayloadTooLarge, UncorrectableErrors
 from airgaplab.optstego import from_pbm, qr_decode, qr_encode, to_pbm
 from airgaplab.optstego.qr import (
     ECC_PER_BLOCK,
@@ -15,6 +15,7 @@ from airgaplab.optstego.qr import (
     QrMatrix,
     byte_mode_capacity,
     format_code,
+    function_mask,
     gf_mul,
     gf_poly_eval,
     matrix_from_modules,
@@ -260,6 +261,16 @@ class TestStandardConformance:
         assert [GF_LOG[c] if c else None for c in gen] == [0, 87, 229, 146, 149, 238, 102, 21]
 
 
+class TestFunctionMask:
+    # Remainder bits after the last codeword, from the standard's capacity table.
+    REMAINDER_BITS = {1: 0, 2: 7, 3: 7, 4: 7, 5: 7, 6: 7, 7: 0, 8: 0, 9: 0, 10: 0}
+
+    @pytest.mark.parametrize("version", range(1, 11))
+    def test_data_modules_hold_codewords_and_remainder(self, version):
+        data_modules = sum(not cell for row in function_mask(version) for cell in row)
+        assert data_modules == 8 * TOTAL_CODEWORDS[version] + self.REMAINDER_BITS[version]
+
+
 class TestFormatInfo:
     def test_format_codes_distinct_and_separated(self):
         codes = [format_code(level, mask) for level in "LMQH" for mask in range(8)]
@@ -298,3 +309,19 @@ class TestPbm:
     def test_rejects_non_pbm(self):
         with pytest.raises(ValueError):
             from_pbm("P2\n2 2\n255\n0 0 0 0\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "P1\n21\n",  # truncated header
+            "P1\n21 x\n",  # non-integer dimension
+            "P1\n-21 -21\n",  # negative dimensions
+            "P1\n2 2\n0 1 1\n",  # truncated raster
+            "P1\n2 2\n0 1 2 0\n",  # pixel other than 0/1
+            "P1\n21 22\n" + "0 " * 21 * 22,  # not square
+            "P1\n20 20\n" + "0 " * 400,  # no QR version has side 20
+        ],
+    )
+    def test_rejects_malformed(self, text):
+        with pytest.raises(MalformedInput):
+            from_pbm(text)
