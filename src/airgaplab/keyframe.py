@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import CrcMismatch, EmptyPayload, LengthOutOfRange, PayloadTooLong, SyncNotFound
+from .errors import CrcMismatch, EmptyPayload, LengthOutOfRange, MalformedInput, PayloadTooLong, SyncNotFound
 
 PREAMBLE = 0xAAAA
 SYNC_WORD = 0x2DD4
@@ -263,5 +263,5 @@ def bits_to_text(bits: list[int]) -> str:
 def text_to_bits(text: str) -> list[int]:
     stripped = text.strip()
     if any(ch not in "01" for ch in stripped):
-        raise ValueError("bitstream text may contain only '0' and '1'")
+        raise MalformedInput("bitstream text may contain only '0' and '1'")
     return [1 if ch == "1" else 0 for ch in stripped]

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import csv
 import math
-import struct
 import wave
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EmptyTrace, MalformedInput, NyquistViolation, SignalTooShort, SymbolRateTooHigh
 from .keyframe import HEADER_PATTERN, find_header
@@ -141,41 +141,39 @@ def bfsk_modulate(bits, cfg: ModemConfig) -> Waveform:
 
 
 class _ToneBank:
-    """Cumulative single-bin correlators, computed once per waveform.
+    """Single-bin (DFT-bin / Goertzel) correlators over every symbol window.
 
-    Window sums at any offset are then two array lookups, so the timing
-    search over nine candidate offsets costs no extra passes over the
-    signal.
+    A window's energy |sum x[n] exp(-j w n)|^2 does not depend on where n
+    starts counting, so each window, as a row of samples, meets one small
+    (width x 2*tones) cos/sin table.  The samples are zero-padded by more
+    than any timing offset (`_propose_offset` reaches 4*round(sps/4) <=
+    sps + 2), so a window past either end reads zeros, as if clipped.
     """
 
     def __init__(self, samples: np.ndarray, cfg: ModemConfig):
-        self.n_samples = len(samples)
         self.cfg = cfg
-        n = np.arange(self.n_samples, dtype=np.float64)
-        self._cums = {}
-        for tone in cfg.tones():
-            angles = 2.0 * np.pi * tone * n / cfg.sample_rate
-            ccum = np.concatenate(([0.0], np.cumsum(samples * np.cos(angles))))
-            scum = np.concatenate(([0.0], np.cumsum(samples * np.sin(angles))))
-            self._cums[tone] = (ccum, scum)
-
-    def _energies(self, tone: float, bounds: np.ndarray) -> np.ndarray:
-        ccum, scum = self._cums[tone]
-        starts = np.clip(bounds[:-1], 0, self.n_samples)
-        ends = np.clip(bounds[1:], 0, self.n_samples)
-        c = ccum[ends] - ccum[starts]
-        s = scum[ends] - scum[starts]
-        return c * c + s * s
+        self.width = math.ceil(cfg.samples_per_symbol)
+        self.pad = self.width + 2
+        zeros = np.zeros(self.pad + self.width)
+        self._rows = sliding_window_view(np.concatenate((zeros[: self.pad], samples, zeros)), self.width)
+        angles = np.outer(np.arange(self.width), 2.0 * np.pi * np.asarray(cfg.tones()) / cfg.sample_rate)
+        self._table = np.hstack((np.cos(angles), np.sin(angles)))
 
     def soft_symbols(self, offset: int, n_symbols: int) -> np.ndarray:
         """Per-symbol decision statistic at a given sample offset.
 
         OOK: correlation energy at the carrier.  BFSK: energy(f1) - energy(f0).
         """
+        if abs(offset) > self.pad:
+            raise ValueError(f"timing offset {offset} exceeds the {self.pad}-sample padding")
         bounds = _symbol_boundaries(n_symbols, self.cfg) + offset
+        windows = self._rows[bounds[:-1] + self.pad]
+        windows[np.diff(bounds) < self.width, -1] = 0.0  # floor(sps)-long windows
+        proj = windows @ self._table
+        energies = (proj.reshape(len(proj), 2, -1) ** 2).sum(axis=1)  # cos^2 + sin^2 per tone
         if self.cfg.scheme == "ook":
-            return self._energies(self.cfg.f_carrier, bounds)
-        return self._energies(self.cfg.f1, bounds) - self._energies(self.cfg.f0, bounds)
+            return energies[:, 0]
+        return energies[:, 1] - energies[:, 0]
 
 
 def _alternation_score(soft: np.ndarray) -> float:
@@ -336,14 +334,16 @@ def write_wav(path: str, w: Waveform) -> None:
 
 
 def read_wav(path: str) -> Waveform:
-    with wave.open(path, "rb") as fh:
-        if fh.getnchannels() != 1 or fh.getsampwidth() != 2:
-            raise ValueError("expected mono 16-bit PCM")
-        rate = fh.getframerate()
-        raw = fh.readframes(fh.getnframes())
-    count = len(raw) // 2
-    samples = np.array(struct.unpack(f"<{count}h", raw), dtype=np.float64) / 32767.0
-    return Waveform(rate, samples)
+    """Mono 16-bit PCM only; anything else raises MalformedInput."""
+    try:
+        with wave.open(path, "rb") as fh:
+            channels, width, rate = fh.getnchannels(), fh.getsampwidth(), fh.getframerate()
+            raw = fh.readframes(fh.getnframes())
+    except (wave.Error, EOFError) as exc:
+        raise MalformedInput(f"{path}: not a readable WAV file ({str(exc) or 'truncated'})") from None
+    if channels != 1 or width != 2:
+        raise MalformedInput(f"{path}: want mono 16-bit PCM, got {channels} channel(s) of {8 * width}-bit")
+    return Waveform(rate, np.frombuffer(raw[: len(raw) // 2 * 2], "<i2") / 32767.0)
 
 
 def write_trace_csv(path: str, trace: EventTrace) -> None:

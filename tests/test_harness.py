@@ -74,6 +74,12 @@ class TestRunScenario:
             assert not report.success
             assert report.error_kind in ("SyncNotFound", "CrcMismatch")
 
+    @pytest.mark.parametrize("name, rate", [("ultrasonic", 7), ("airhopper", 333)])
+    def test_non_integer_samples_per_symbol(self, name, rate):
+        # 48000/7 = 6857.14 and 48000/333 = 144.14 samples/symbol, preset SNR.
+        report = run_scenario(ScenarioConfig(channel=name, symbol_rate=rate, seed=12)).report
+        assert report.success and report.ber == 0.0
+
     def test_explicit_key_recovered(self):
         key = bytes(range(32))
         result = run_scenario(ScenarioConfig(channel="radiot", key=key, snr_db=35, seed=9))

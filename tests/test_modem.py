@@ -2,9 +2,12 @@
 
 import math
 import random
+import wave
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.signal import hilbert
 
 from airgaplab.errors import (
@@ -16,6 +19,7 @@ from airgaplab.errors import (
 )
 from airgaplab.keyframe import frame_decode, frame_encode
 from airgaplab.modem import (
+    MIN_SAMPLES_PER_SYMBOL,
     EventTrace,
     ModemConfig,
     Waveform,
@@ -30,6 +34,7 @@ from airgaplab.modem import (
     write_trace_csv,
     write_wav,
 )
+from airgaplab.modem import _ToneBank
 
 OOK = ModemConfig(scheme="ook", symbol_rate=100, sample_rate=8000, f_carrier=1000, amplitude=0.8)
 BFSK = ModemConfig(scheme="bfsk", symbol_rate=20, sample_rate=48000, f0=17500, f1=18500, amplitude=0.8)
@@ -193,6 +198,81 @@ class TestTimingRecovery:
         shifted = Waveform(BFSK.sample_rate, np.concatenate([np.zeros(shift), w.samples]))
         assert frame_decode(bfsk_demodulate(shifted, BFSK)) == key
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ModemConfig(scheme="ook", symbol_rate=30, sample_rate=8000, f_carrier=1000),
+            ModemConfig(scheme="bfsk", symbol_rate=30, sample_rate=8000, f0=1500, f1=2500),
+        ],
+    )
+    def test_three_quarter_symbol_offset_at_non_integer_sps(self, cfg):
+        # 8000/30 = 266.67 samples/symbol: windows are 266 or 267 samples long.
+        rng = random.Random(11)
+        key = bytes(rng.randrange(256) for _ in range(32))
+        ook = cfg.scheme == "ook"
+        w = (ook_modulate if ook else bfsk_modulate)(frame_encode(key), cfg)
+        shift = int(cfg.samples_per_symbol * 0.75)
+        shifted = Waveform(cfg.sample_rate, np.concatenate([np.zeros(shift), w.samples]))
+        assert frame_decode((ook_demodulate if ook else bfsk_demodulate)(shifted, cfg)) == key
+
+
+def brute_force_soft_symbols(samples, cfg, offset, n_symbols):
+    """Decision statistic one clipped window [a, b) at a time, with absolute
+    sample indices n: energy = (sum x[n] cos wn)^2 + (sum x[n] sin wn)^2.
+    Returns the statistics and the largest single-tone energy."""
+    soft, peak = [], 0.0
+    for i in range(n_symbols):
+        a, b = (
+            min(max(round(j * cfg.sample_rate / cfg.symbol_rate) + offset, 0), len(samples)) for j in (i, i + 1)
+        )
+        energy = {}
+        for tone in cfg.tones():
+            c = s = 0.0
+            for n in range(a, b):
+                angle = 2.0 * math.pi * tone * n / cfg.sample_rate
+                c += samples[n] * math.cos(angle)
+                s += samples[n] * math.sin(angle)
+            energy[tone] = c * c + s * s
+            peak = max(peak, energy[tone])
+        soft.append(energy[cfg.f_carrier] if cfg.scheme == "ook" else energy[cfg.f1] - energy[cfg.f0])
+    return np.array(soft), peak
+
+
+@st.composite
+def receiver_cases(draw):
+    """A config with integer or non-integer samples/symbol, a random signal,
+    a symbol count and a timing offset within about one symbol."""
+    symbol_rate = draw(st.one_of(st.integers(20, 500), st.floats(20.0, 500.0)))
+    if isinstance(symbol_rate, int) and draw(st.booleans()):
+        sample_rate = symbol_rate * draw(st.integers(MIN_SAMPLES_PER_SYMBOL, 48))
+    else:
+        sample_rate = draw(st.integers(math.ceil(MIN_SAMPLES_PER_SYMBOL * symbol_rate), int(48 * symbol_rate)))
+    tone = st.floats(0.0, sample_rate / 2, exclude_max=True)
+    scheme = draw(st.sampled_from(["ook", "bfsk"]))
+    f0, f1 = draw(tone), draw(tone)
+    assume(scheme == "ook" or f0 != f1)
+    cfg = ModemConfig(scheme=scheme, symbol_rate=symbol_rate, sample_rate=sample_rate, f_carrier=f0, f0=f0, f1=f1)
+    cfg.validate()
+    sps = cfg.samples_per_symbol
+    samples = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(
+        draw(st.integers(math.ceil(sps), 12 * math.ceil(sps)))
+    )
+    n_symbols = draw(st.integers(1, round(len(samples) / sps)))
+    reach = math.floor(sps) + 2
+    offset = draw(st.sampled_from([-reach, reach]) | st.integers(-reach, reach))
+    return cfg, samples, n_symbols, offset
+
+
+class TestReceiverOracle:
+    @settings(deadline=None)
+    @given(case=receiver_cases())
+    def test_soft_symbols_match_brute_force_windows(self, case):
+        cfg, samples, n_symbols, offset = case
+        got = _ToneBank(samples, cfg).soft_symbols(offset, n_symbols)
+        want, peak = brute_force_soft_symbols(samples, cfg, offset, n_symbols)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-9 * peak
+
 
 class TestEventTraces:
     def test_modulate_example_pattern(self):
@@ -256,6 +336,30 @@ class TestFileFormats:
         # 16-bit PCM quantization must still round-trip the bits
         assert ook_demodulate(back, OOK) == ook_demodulate(w, OOK)
 
+    @staticmethod
+    def _write_pcm(path, channels, width):
+        with wave.open(str(path), "wb") as fh:
+            fh.setnchannels(channels)
+            fh.setsampwidth(width)
+            fh.setframerate(8000)
+            fh.writeframes(b"\x00" * 64)
+
+    @pytest.mark.parametrize("channels, width", [(2, 2), (1, 1)])
+    def test_wav_rejects_stereo_and_8_bit(self, tmp_path, channels, width):
+        path = tmp_path / "bad.wav"
+        self._write_pcm(path, channels, width)
+        with pytest.raises(MalformedInput):
+            read_wav(str(path))
+
+    def test_wav_rejects_garbage_and_truncated_header(self, tmp_path):
+        good = tmp_path / "good.wav"
+        self._write_pcm(good, 1, 2)
+        for name, data in [("garbage.wav", b"not a wav!"), ("cut.wav", good.read_bytes()[:30])]:
+            path = tmp_path / name
+            path.write_bytes(data)
+            with pytest.raises(MalformedInput):
+                read_wav(str(path))
+
     def test_wav_bytes_deterministic(self, tmp_path):
         w = bfsk_modulate([1, 0, 1], BFSK)
         p1, p2 = str(tmp_path / "a.wav"), str(tmp_path / "b.wav")
@@ -273,6 +377,7 @@ class TestFileFormats:
         assert rate == BFSK.sample_rate
         assert data.dtype == np.int16 and data.ndim == 1
         assert np.abs(data / 32767.0 - w.samples).max() < 1.0 / 32000
+        assert np.array_equal(read_wav(path).samples, data / 32767.0)
 
     def test_trace_csv_round_trip(self, tmp_path):
         trace = trace_modulate([1, 0, 1, 1], 12.5, 37.5)
