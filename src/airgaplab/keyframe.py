@@ -86,21 +86,14 @@ def _hamming_encode_one(nibble: int) -> int:
     return (p1 << 6) | (p2 << 5) | (d1 << 4) | (p3 << 3) | (d2 << 2) | (d3 << 1) | d4
 
 
-def _hamming_decode_one(codeword: int) -> tuple[int, bool]:
-    # Bits by position 1..7 = p1 p2 d1 p3 d2 d3 d4 (MSB of the int is p1).
-    r = [(codeword >> (6 - i)) & 1 for i in range(7)]
-    s1 = r[0] ^ r[2] ^ r[4] ^ r[6]
-    s2 = r[1] ^ r[2] ^ r[5] ^ r[6]
-    s3 = r[3] ^ r[4] ^ r[5] ^ r[6]
-    syndrome = (s3 << 2) | (s2 << 1) | s1
-    if syndrome:
-        r[syndrome - 1] ^= 1
-    nibble = (r[2] << 3) | (r[4] << 2) | (r[5] << 1) | r[6]
-    return nibble, syndrome != 0
-
-
 _HAMMING_ENCODE = [_hamming_encode_one(n) for n in range(16)]
-_HAMMING_DECODE = [_hamming_decode_one(c) for c in range(128)]
+
+# The code is perfect: every 7-bit word is a codeword or one bit flip away
+# from exactly one, so the decode table is the codewords and their neighbours.
+_HAMMING_DECODE = [(0, False)] * 128
+for _nibble, _codeword in enumerate(_HAMMING_ENCODE):
+    for _flip in (0, 1, 2, 4, 8, 16, 32, 64):
+        _HAMMING_DECODE[_codeword ^ _flip] = (_nibble, _flip != 0)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ one image, while reads and distinct images need no coordination.
 from __future__ import annotations
 
 import struct
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -98,6 +99,8 @@ class FatImage:
         if data_sectors < 0:
             raise MalformedInput(f"{self.fat_sectors}-sector FATs and root directory overrun the volume")
         self.cluster_count = data_sectors // SECTORS_PER_CLUSTER
+        if self.fat_sectors * BYTES_PER_SECTOR // 2 < self.cluster_count + 2:
+            raise MalformedInput(f"{self.fat_sectors}-sector FAT cannot map {self.cluster_count} clusters")
 
     # -- region offsets (bytes) --
 
@@ -136,11 +139,11 @@ class FatImage:
         while 2 <= cluster < self.cluster_count + 2:
             out.append(cluster)
             if len(out) > cap:
-                raise ValueError(f"cluster chain from {first} exceeds {cap} links (loop?)")
+                raise MalformedInput(f"cluster chain from {first} exceeds {cap} links (loop?)")
             cluster = self.fat_get(cluster)
             if cluster >= 0xFFF8:
                 return out
-        raise ValueError(f"chain from {first} ends in invalid entry 0x{cluster:04X}")
+        raise MalformedInput(f"chain from {first} ends in invalid entry 0x{cluster:04X}")
 
 
 def create_image(total_size: int) -> FatImage:
@@ -210,15 +213,17 @@ def name_to_83(name: str) -> bytes:
 
 
 def name_from_83(raw: bytes) -> str:
-    stem = raw[:8].decode("ascii").rstrip()
-    ext = raw[8:11].decode("ascii").rstrip()
+    try:
+        stem = raw[:8].decode("ascii").rstrip()
+        ext = raw[8:11].decode("ascii").rstrip()
+    except UnicodeDecodeError:
+        raise MalformedInput(f"directory entry name {bytes(raw[:11])!r} is not ASCII") from None
     return f"{stem}.{ext}" if ext else stem
 
 
 def _iter_root(img: FatImage):
     """Yield (entry_offset, raw_name, attr) for every used root entry."""
-    for i in range(ROOT_ENTRIES):
-        off = img.root_offset + 32 * i
+    for off in range(img.root_offset, img.data_offset, 32):
         first = img.data[off]
         if first == 0x00:
             return
@@ -235,9 +240,13 @@ def _find_entry(img: FatImage, name: str) -> int:
     raise NoSuchFile(f"{name!r} not found in root directory")
 
 
+def _extent(img: FatImage, off: int) -> tuple[int, int]:
+    """(first cluster, size in bytes) of the root entry at `off`."""
+    return struct.unpack_from("<HI", img.data, off + 26)
+
+
 def _free_root_slot(img: FatImage) -> int:
-    for i in range(ROOT_ENTRIES):
-        off = img.root_offset + 32 * i
+    for off in range(img.root_offset, img.data_offset, 32):
         if img.data[off] in (0x00, 0xE5):
             return off
     raise DiskFull("root directory is full")
@@ -251,17 +260,15 @@ def list_files(img: FatImage, include_hidden: bool = True) -> list[tuple[str, in
             continue
         if not include_hidden and attr & ATTR_HIDDEN:
             continue
-        size = struct.unpack_from("<I", img.data, off + 28)[0]
-        out.append((name_from_83(raw), size, attr))
+        out.append((name_from_83(raw), _extent(img, off)[1], attr))
     return out
 
 
 def add_file(img: FatImage, name: str, contents: bytes, attr: int = ATTR_ARCHIVE) -> FatImage:
     """Create a root-directory file; returns the (mutated) image."""
-    packed = name_to_83(name)
-    for _, raw, entry_attr in _iter_root(img):
-        if raw == packed and not entry_attr & ATTR_VOLUME_ID:
-            raise DuplicateName(f"{name!r} already exists")
+    with suppress(NoSuchFile):
+        _find_entry(img, name)
+        raise DuplicateName(f"{name!r} already exists")
     needed = -(-len(contents) // CLUSTER_BYTES)
     free = img.free_clusters()
     if len(free) < needed:
@@ -274,7 +281,7 @@ def add_file(img: FatImage, name: str, contents: bytes, attr: int = ATTR_ARCHIVE
         chunk = contents[i * CLUSTER_BYTES : (i + 1) * CLUSTER_BYTES]
         img.data[start : start + CLUSTER_BYTES] = chunk.ljust(CLUSTER_BYTES, b"\x00")
     entry = bytearray(32)
-    entry[0:11] = packed
+    entry[0:11] = name_to_83(name)
     entry[11] = attr
     struct.pack_into("<H", entry, 14, FIXED_TIME)
     struct.pack_into("<H", entry, 16, FIXED_DATE)
@@ -288,9 +295,7 @@ def add_file(img: FatImage, name: str, contents: bytes, attr: int = ATTR_ARCHIVE
 
 
 def read_file(img: FatImage, name: str) -> bytes:
-    off = _find_entry(img, name)
-    size = struct.unpack_from("<I", img.data, off + 28)[0]
-    first = struct.unpack_from("<H", img.data, off + 26)[0]
+    first, size = _extent(img, _find_entry(img, name))
     if size == 0:
         return b""
     out = bytearray()
@@ -302,9 +307,7 @@ def read_file(img: FatImage, name: str) -> bytes:
 
 def _slack_window(img: FatImage, name: str) -> tuple[int, int]:
     """(byte offset of slack start, slack length) for a carrier file."""
-    off = _find_entry(img, name)
-    size = struct.unpack_from("<I", img.data, off + 28)[0]
-    first = struct.unpack_from("<H", img.data, off + 26)[0]
+    first, size = _extent(img, _find_entry(img, name))
     slack = (CLUSTER_BYTES - size % CLUSTER_BYTES) % CLUSTER_BYTES
     if size == 0 or slack == 0:
         return 0, 0
@@ -312,12 +315,27 @@ def _slack_window(img: FatImage, name: str) -> tuple[int, int]:
     return img.cluster_offset(last_cluster) + size % CLUSTER_BYTES, slack
 
 
-def hide_slack(img: FatImage, carrier_name: str, secret: bytes) -> FatImage:
-    """Park magic+length+secret in the carrier's final-cluster slack."""
+def _seal(secret: bytes) -> bytes:
+    """The hidden payload: magic, one length byte, then the secret."""
     if len(secret) > MAX_SECRET:
         raise ValueError(f"secret exceeds {MAX_SECRET} bytes")
+    return PAYLOAD_MAGIC + bytes([len(secret)]) + secret
+
+
+def _unseal(buf: bytes) -> bytes:
+    """The secret of a payload that `_seal` wrote at the start of `buf`."""
+    if len(buf) < 5 or buf[:4] != PAYLOAD_MAGIC:
+        raise NoPayload("payload magic absent")
+    length = buf[4]
+    if 5 + length > len(buf):
+        raise NoPayload(f"declared length {length} exceeds the {len(buf) - 5} bytes after the header")
+    return buf[5 : 5 + length]
+
+
+def hide_slack(img: FatImage, carrier_name: str, secret: bytes) -> FatImage:
+    """Park magic+length+secret in the carrier's final-cluster slack."""
+    payload = _seal(secret)
     start, slack = _slack_window(img, carrier_name)
-    payload = PAYLOAD_MAGIC + bytes([len(secret)]) + secret
     if slack < len(payload):
         raise InsufficientSlack(f"{slack} slack bytes < {len(payload)} payload bytes")
     img.data[start : start + len(payload)] = payload
@@ -326,22 +344,12 @@ def hide_slack(img: FatImage, carrier_name: str, secret: bytes) -> FatImage:
 
 def extract_slack(img: FatImage, carrier_name: str) -> bytes:
     start, slack = _slack_window(img, carrier_name)
-    if slack < len(PAYLOAD_MAGIC) + 1:
-        raise NoPayload("carrier has no usable slack")
-    if bytes(img.data[start : start + 4]) != PAYLOAD_MAGIC:
-        raise NoPayload("payload magic absent")
-    length = img.data[start + 4]
-    if 5 + length > slack:
-        raise NoPayload(f"declared length {length} exceeds slack window")
-    return bytes(img.data[start + 5 : start + 5 + length])
+    return _unseal(bytes(img.data[start : start + slack]))
 
 
 def hide_entry(img: FatImage, secret: bytes, entry_name: str = HIDDEN_ENTRY_NAME) -> FatImage:
     """Stash the payload in a hidden+system temp-file-looking entry."""
-    if len(secret) > MAX_SECRET:
-        raise ValueError(f"secret exceeds {MAX_SECRET} bytes")
-    payload = PAYLOAD_MAGIC + bytes([len(secret)]) + secret
-    return add_file(img, entry_name, payload, attr=ATTR_HIDDEN | ATTR_SYSTEM)
+    return add_file(img, entry_name, _seal(secret), attr=ATTR_HIDDEN | ATTR_SYSTEM)
 
 
 def extract_entry(img: FatImage, entry_name: str = HIDDEN_ENTRY_NAME) -> bytes:
@@ -352,13 +360,7 @@ def extract_entry(img: FatImage, entry_name: str = HIDDEN_ENTRY_NAME) -> bytes:
     attr = img.data[off + 11]
     if not (attr & ATTR_HIDDEN and attr & ATTR_SYSTEM):
         raise NoPayload(f"{entry_name!r} lacks hidden+system attributes")
-    content = read_file(img, entry_name)
-    if content[:4] != PAYLOAD_MAGIC:
-        raise NoPayload("payload magic absent")
-    length = content[4]
-    if 5 + length > len(content):
-        raise NoPayload("declared length exceeds file contents")
-    return content[5 : 5 + length]
+    return _unseal(read_file(img, entry_name))
 
 
 @dataclass
@@ -385,8 +387,7 @@ def fsck(img: FatImage) -> FsckReport:
         if attr & ATTR_VOLUME_ID:
             continue
         name = name_from_83(raw)
-        size = struct.unpack_from("<I", img.data, off + 28)[0]
-        first = struct.unpack_from("<H", img.data, off + 26)[0]
+        first, size = _extent(img, off)
         if size == 0:
             if first != 0:
                 findings.append(f"{name}: zero-size file owns cluster {first}")

@@ -337,13 +337,15 @@ def read_wav(path: str) -> Waveform:
     """Mono 16-bit PCM only; anything else raises MalformedInput."""
     try:
         with wave.open(path, "rb") as fh:
-            channels, width, rate = fh.getnchannels(), fh.getsampwidth(), fh.getframerate()
-            raw = fh.readframes(fh.getnframes())
+            channels, width, rate, count = fh.getnchannels(), fh.getsampwidth(), fh.getframerate(), fh.getnframes()
+            raw = fh.readframes(count)
     except (wave.Error, EOFError) as exc:
         raise MalformedInput(f"{path}: not a readable WAV file ({str(exc) or 'truncated'})") from None
     if channels != 1 or width != 2:
         raise MalformedInput(f"{path}: want mono 16-bit PCM, got {channels} channel(s) of {8 * width}-bit")
-    return Waveform(rate, np.frombuffer(raw[: len(raw) // 2 * 2], "<i2") / 32767.0)
+    if len(raw) < 2 * count:
+        raise MalformedInput(f"{path}: data chunk holds {len(raw)} bytes, header declares {count} samples")
+    return Waveform(rate, np.frombuffer(raw, "<i2") / 32767.0)
 
 
 def write_trace_csv(path: str, trace: EventTrace) -> None:

@@ -89,6 +89,8 @@ def invisible_extract(
     surrounding ring; ties fall to light, so a flat carrier with no symbol
     yields an all-light grid.
     """
+    if scale < 1:
+        raise ValueError("scale must be at least 1 pixel per module")
     n_modules = size_for_version(version)
     side = n_modules * scale
     ox, oy = offset
@@ -96,34 +98,23 @@ def invisible_extract(
         raise CarrierTooSmall(
             f"image {img.width}x{img.height} cannot hold {side}x{side} at offset {offset}"
         )
-    # Integral image makes every clipped rectangle sum O(1).
+    # Integral image makes every clipped rectangle sum O(1).  Index 0 of each
+    # bound below is the module block, index 1 the block plus its ring,
+    # clipped to the image; the image spans at least 21 modules a side, so no
+    # ring is empty.
     acc = np.zeros((img.height + 1, img.width + 1), dtype=np.float64)
     acc[1:, 1:] = np.cumsum(np.cumsum(img.pixels.astype(np.float64), axis=0), axis=1)
-
-    def rect(y0: int, y1: int, x0: int, x1: int) -> tuple[float, int]:
-        y0 = max(0, min(y0, img.height))
-        y1 = max(0, min(y1, img.height))
-        x0 = max(0, min(x0, img.width))
-        x1 = max(0, min(x1, img.width))
-        if y1 <= y0 or x1 <= x0:
-            return 0.0, 0
-        total = acc[y1, x1] - acc[y0, x1] - acc[y1, x0] + acc[y0, x0]
-        return float(total), (y1 - y0) * (x1 - x0)
-
     ring = RING_MODULES * scale
-    modules = [[False] * n_modules for _ in range(n_modules)]
-    for r in range(n_modules):
-        for c in range(n_modules):
-            y0, x0 = oy + r * scale, ox + c * scale
-            block_sum, block_area = rect(y0, y0 + scale, x0, x0 + scale)
-            outer_sum, outer_area = rect(y0 - ring, y0 + scale + ring, x0 - ring, x0 + scale + ring)
-            ring_area = outer_area - block_area
-            if ring_area <= 0 or block_area <= 0:
-                continue
-            block_mean = block_sum / block_area
-            ring_mean = (outer_sum - block_sum) / ring_area
-            modules[r][c] = block_mean < ring_mean
-    return matrix_from_modules(modules)
+    top = oy + scale * np.arange(n_modules)
+    left = ox + scale * np.arange(n_modules)
+    y0 = np.clip(np.stack([top, top - ring]), 0, img.height)[:, :, None]
+    y1 = np.clip(np.stack([top + scale, top + scale + ring]), 0, img.height)[:, :, None]
+    x0 = np.clip(np.stack([left, left - ring]), 0, img.width)[:, None, :]
+    x1 = np.clip(np.stack([left + scale, left + scale + ring]), 0, img.width)[:, None, :]
+    block_sum, outer_sum = acc[y1, x1] - acc[y0, x1] - acc[y1, x0] + acc[y0, x0]
+    block_area, outer_area = (y1 - y0) * (x1 - x0)
+    modules = block_sum / block_area < (outer_sum - block_sum) / (outer_area - block_area)
+    return matrix_from_modules(modules.tolist())
 
 
 # ---- PGM serialization (portable graymap, ASCII P2, maxval 255) ----

@@ -149,21 +149,18 @@ def rs_correct(block: list[int], ec_count: int) -> tuple[list[int], int]:
             delta ^= gf_mul(sigma[i], syndromes[step - i])
         if delta == 0:
             m += 1
-        elif 2 * l <= step:
-            old = list(sigma)
-            coef = gf_mul(delta, gf_inv(b))
-            sigma = sigma + [0] * (len(prev) + m - len(sigma))
-            for i, pc in enumerate(prev):
-                sigma[i + m] ^= gf_mul(coef, pc)
+            continue
+        old = sigma
+        coef = gf_mul(delta, gf_inv(b))
+        sigma = sigma + [0] * (len(prev) + m - len(sigma))
+        for i, pc in enumerate(prev):
+            sigma[i + m] ^= gf_mul(coef, pc)
+        if 2 * l <= step:
             l = step + 1 - l
             prev = old
             b = delta
             m = 1
         else:
-            coef = gf_mul(delta, gf_inv(b))
-            sigma = sigma + [0] * (len(prev) + m - len(sigma))
-            for i, pc in enumerate(prev):
-                sigma[i + m] ^= gf_mul(coef, pc)
             m += 1
     while sigma and sigma[-1] == 0:
         sigma.pop()
@@ -344,6 +341,19 @@ def _split_block_lengths(version: int, ec_level: str) -> tuple[list[int], int]:
     return [short_len - ecc + (0 if i < num_short else 1) for i in range(nblocks)], ecc
 
 
+@lru_cache(maxsize=None)
+def _interleave_slots(version: int, ec_level: str) -> tuple[tuple[int, int], ...]:
+    """(block, index into that block's data + parity) of each placed codeword.
+
+    Data codewords go column by column across the blocks (the shorter
+    blocks skip the last column), then the parity codewords likewise.
+    """
+    lengths, ecc = _split_block_lengths(version, ec_level)
+    data = [(b, i) for i in range(max(lengths)) for b, length in enumerate(lengths) if i < length]
+    parity = [(b, length + i) for i in range(ecc) for b, length in enumerate(lengths)]
+    return tuple(data + parity)
+
+
 def interleave(data_codewords: list[int], version: int, ec_level: str) -> list[int]:
     """Block-split, append RS parity, and interleave for placement."""
     lengths, ecc = _split_block_lengths(version, ec_level)
@@ -351,37 +361,21 @@ def interleave(data_codewords: list[int], version: int, ec_level: str) -> list[i
     k = 0
     for length in lengths:
         chunk = data_codewords[k : k + length]
-        blocks.append((chunk, rs_encode(chunk, ecc)))
+        blocks.append(chunk + rs_encode(chunk, ecc))
         k += length
     assert k == len(data_codewords)
-    out = []
-    for i in range(max(lengths)):
-        for chunk, _ in blocks:
-            if i < len(chunk):
-                out.append(chunk[i])
-    for i in range(ecc):
-        for _, parity in blocks:
-            out.append(parity[i])
-    return out
+    return [blocks[b][i] for b, i in _interleave_slots(version, ec_level)]
 
 
 def deinterleave_and_correct(codewords: list[int], version: int, ec_level: str) -> list[int]:
     """Invert the interleave, RS-correct every block, return data codewords."""
     lengths, ecc = _split_block_lengths(version, ec_level)
-    data_parts: list[list[int]] = [[] for _ in lengths]
-    ec_parts: list[list[int]] = [[] for _ in lengths]
-    it = iter(codewords)
-    for i in range(max(lengths)):
-        for b, length in enumerate(lengths):
-            if i < length:
-                data_parts[b].append(next(it))
-    for _ in range(ecc):
-        for b in range(len(lengths)):
-            ec_parts[b].append(next(it))
+    blocks = [[0] * (length + ecc) for length in lengths]
+    for (b, i), codeword in zip(_interleave_slots(version, ec_level), codewords, strict=True):
+        blocks[b][i] = codeword
     out: list[int] = []
-    for b in range(len(lengths)):
-        corrected, _ = rs_correct(data_parts[b] + ec_parts[b], ecc)
-        out.extend(corrected[: lengths[b]])
+    for block, length in zip(blocks, lengths):
+        out.extend(rs_correct(block, ecc)[0][:length])
     return out
 
 
@@ -466,11 +460,19 @@ def _zigzag_coords(version: int):
         right -= 2
 
 
+@lru_cache(maxsize=None)
+def _data_cells(version: int, mask: int) -> tuple[tuple[int, int, bool], ...]:
+    """(x, y, flip) of each data module in placement order; the mask
+    pattern inverts a module where `flip` is set."""
+    return tuple((x, y, MASK_PATTERNS[mask](x, y) == 0) for x, y in _zigzag_coords(version))
+
+
 def _place_codewords(modules: list[list[bool]], codewords: list[int], version: int, mask: int) -> None:
+    cells = _data_cells(version, mask)
     bits = bytes_to_bits(bytes(codewords))
-    for i, (x, y) in enumerate(_zigzag_coords(version)):
-        bit = i < len(bits) and bits[i] == 1
-        modules[y][x] = bit ^ (MASK_PATTERNS[mask](x, y) == 0)
+    bits += [0] * (len(cells) - len(bits))  # remainder bits
+    for (x, y, flip), bit in zip(cells, bits):
+        modules[y][x] = (bit == 1) ^ flip
 
 
 def matrix_from_data_codewords(data_codewords: list[int], version: int, ec_level: str) -> QrMatrix:
@@ -529,12 +531,8 @@ def read_format(m: QrMatrix) -> tuple[str, int]:
 def read_codewords(m: QrMatrix) -> tuple[list[int], str]:
     """Unmask and read the interleaved codewords; returns (codewords, level)."""
     level, mask = read_format(m)
-    total = TOTAL_CODEWORDS[m.version]
-    bits = []
-    for x, y in _zigzag_coords(m.version):
-        bits.append(int(m.modules[y][x]) ^ (1 if MASK_PATTERNS[mask](x, y) == 0 else 0))
-        if len(bits) == total * 8:
-            break
+    cells = _data_cells(m.version, mask)[: TOTAL_CODEWORDS[m.version] * 8]
+    bits = [int(m.modules[y][x]) ^ flip for x, y, flip in cells]
     return list(bits_to_bytes(bits)), level
 
 

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from airgaplab.cli import main
+from airgaplab.mediahide import add_file, create_image
 
 
 def run_cli(capsys, *args):
@@ -121,6 +122,19 @@ class TestQrStego:
         assert exc.value.code == 2
 
 
+def _fat_too_small(img):
+    img.data[22:24] = (1).to_bytes(2, "little")  # FAT size field: 1 sector for 2039 clusters
+
+
+def _non_ascii_name(img):
+    img.data[img.root_offset] = 0xC3
+
+
+def _looped_chain(img):
+    first, second = img.chain(2)
+    img.fat_set(second, first)
+
+
 class TestUsb:
     def test_full_flow(self, capsys, tmp_path):
         img = str(tmp_path / "w.img")
@@ -163,6 +177,29 @@ class TestUsb:
         assert code == 1 and out == ""
         assert err.startswith("error: MalformedInput")
 
+    @pytest.mark.parametrize(
+        "corrupt, argv",
+        [
+            (_fat_too_small, ["add", "--file", "BIG.BIN", "--data", "{big}"]),
+            (_non_ascii_name, ["ls"]),
+            (_non_ascii_name, ["fsck"]),
+            (_looped_chain, ["extract-slack", "--file", "A.BIN"]),
+        ],
+        ids=["fat-too-small-add", "non-ascii-name-ls", "non-ascii-name-fsck", "looped-chain-extract-slack"],
+    )
+    def test_hostile_image_fails_cleanly(self, capsys, tmp_path, corrupt, argv):
+        img = create_image(4 * 1024 * 1024)
+        add_file(img, "A.BIN", bytes(3000))
+        corrupt(img)
+        path = tmp_path / "hostile.img"
+        path.write_bytes(img.data)
+        big = tmp_path / "big.bin"
+        big.write_bytes(bytes(600 * 2048))
+        argv = [arg.format(big=big) for arg in argv]
+        code, _, err = run_cli(capsys, "usb", argv[0], "--image", str(path), *argv[1:])
+        assert code == 1
+        assert err.startswith("error: MalformedInput")
+        assert path.read_bytes() == bytes(img.data)
 
 class TestDeterminism:
     def test_repeat_invocations_byte_identical(self, capsys, tmp_path):

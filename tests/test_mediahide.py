@@ -1,10 +1,14 @@
 """FAT16 media-hiding tests: geometry, transparency, slack and entry payloads."""
 
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from airgaplab.errors import (
+    AirgapError,
     DiskFull,
     DuplicateName,
     InsufficientSlack,
@@ -242,6 +246,12 @@ class TestEntryHiding:
         with pytest.raises(NoPayload):
             extract_entry(image)
 
+    @pytest.mark.parametrize("contents", [b"BCN", b"BCN1", b"BCN1\x03ab"], ids=["short-magic", "no-length", "one-short"])
+    def test_truncated_payload_no_payload(self, image, contents):
+        add_file(image, HIDDEN_ENTRY_NAME, contents, attr=ATTR_HIDDEN | ATTR_SYSTEM)
+        with pytest.raises(NoPayload):
+            extract_entry(image)
+
 
 class TestFsck:
     def test_detects_desynchronized_fats(self, image):
@@ -301,3 +311,48 @@ class TestTransparency:
         assert fsck(image).ok
         assert extract_slack(image, "FILE0.DAT") == secret
         assert extract_entry(image) == secret
+
+
+@lru_cache(maxsize=None)
+def _populated_image() -> bytes:
+    """A 4 MiB image with two files, a slack secret and a hidden entry."""
+    img = create_image(4 * MIB)
+    add_file(img, "TXN.DAT", bytes(range(256)) * 12)
+    add_file(img, "NOTE.TXT", b"cold wallet notes\n" * 200)
+    hide_slack(img, "TXN.DAT", bytes(range(32)))
+    hide_entry(img, bytes(range(32)))
+    return bytes(img.data)
+
+
+def _hostile_flips():
+    """(offset, xor) byte flips anywhere in the boot sector, both FATs or the root directory."""
+    img = load_image(_populated_image())
+    regions = [(0, 512), (img.fat_offset(0), img.root_offset), (img.root_offset, img.data_offset)]
+    offset = st.one_of(*[st.integers(0, end - start - 1).map(lambda i, s=start: s + i) for start, end in regions])
+    return st.lists(st.tuples(offset, st.integers(1, 255)), min_size=1, max_size=6)
+
+
+class TestHostileImage:
+    @settings(deadline=None, max_examples=300)
+    @given(flips=_hostile_flips())
+    def test_readers_raise_only_airgap_errors(self, flips):
+        data = bytearray(_populated_image())
+        for offset, xor in flips:
+            data[offset] ^= xor
+        try:
+            img = load_image(bytes(data))
+        except AirgapError:
+            return
+        readers = [
+            list_files,
+            fsck,
+            lambda i: read_file(i, "TXN.DAT"),
+            lambda i: read_file(i, "NOTE.TXT"),
+            lambda i: extract_slack(i, "TXN.DAT"),
+            extract_entry,
+        ]
+        for reader in readers:
+            try:
+                reader(img)
+            except AirgapError:
+                pass

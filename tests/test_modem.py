@@ -354,7 +354,10 @@ class TestFileFormats:
     def test_wav_rejects_garbage_and_truncated_header(self, tmp_path):
         good = tmp_path / "good.wav"
         self._write_pcm(good, 1, 2)
-        for name, data in [("garbage.wav", b"not a wav!"), ("cut.wav", good.read_bytes()[:30])]:
+        full = tmp_path / "full.wav"
+        write_wav(str(full), Waveform(8000, np.zeros(1000)))
+        cuts = [("header-only.wav", full.read_bytes()[:44]), ("short-data.wav", full.read_bytes()[:544])]
+        for name, data in [("garbage.wav", b"not a wav!"), ("cut.wav", good.read_bytes()[:30])] + cuts:
             path = tmp_path / name
             path.write_bytes(data)
             with pytest.raises(MalformedInput):

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from airgaplab.errors import (
     CarrierTooSmall,
@@ -25,7 +27,8 @@ from airgaplab.optstego import (
     stego_extract,
     to_pgm,
 )
-from airgaplab.optstego.qr import byte_mode_capacity
+from airgaplab.optstego.invisible import RING_MODULES
+from airgaplab.optstego.qr import byte_mode_capacity, size_for_version
 
 
 class TestStegoCapacity:
@@ -173,6 +176,47 @@ class TestInvisibleEmbed:
         for bad in (0, 17, -3):
             with pytest.raises(ValueError):
                 invisible_embed(carrier, matrix, amplitude=bad, scale=4)
+
+    @staticmethod
+    def _slice_mean_grid(pixels, version, scale, ox, oy):
+        """Brute-force extraction: plain slice means of each block and its clipped ring."""
+        ring = RING_MODULES * scale
+        n = size_for_version(version)
+        grid = [[False] * n for _ in range(n)]
+        for r in range(n):
+            for c in range(n):
+                y0, x0 = oy + r * scale, ox + c * scale
+                block = pixels[y0 : y0 + scale, x0 : x0 + scale]
+                outer = pixels[max(0, y0 - ring) : y0 + scale + ring, max(0, x0 - ring) : x0 + scale + ring]
+                ring_mean = (outer.sum() - block.sum()) / (outer.size - block.size)
+                grid[r][c] = bool(block.mean() < ring_mean)
+        return grid
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        version=st.integers(1, 10),
+        scale=st.integers(1, 5),
+        margins=st.tuples(*[st.integers(0, 12)] * 4),
+        span=st.sampled_from([1, 3, 256]),
+        stamp=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_extract_matches_slice_mean_oracle(self, version, scale, margins, span, stamp, seed):
+        # Margins of 0 put the symbol against an image edge, where rings clip.
+        left, top, right, bottom = margins
+        side = size_for_version(version) * scale
+        rng = np.random.default_rng(seed)
+        pixels = rng.integers(128 - span // 2, 128 - span // 2 + span, (top + side + bottom, left + side + right))
+        img = GrayImage(left + side + right, top + side + bottom, pixels)
+        if stamp:
+            matrix = qr_encode(bytes(byte_mode_capacity(version, "M")), "M")
+            img = invisible_embed(img, matrix, amplitude=6, scale=scale, offset=(left, top))
+        got = invisible_extract(img, version, scale=scale, offset=(left, top))
+        assert got.modules == self._slice_mean_grid(img.pixels.astype(np.int64), version, scale, left, top)
+
+    def test_extract_rejects_scale_below_one(self):
+        with pytest.raises(ValueError):
+            invisible_extract(GrayImage.uniform(200, 200, 128), version=1, scale=0)
 
     def test_clamping_at_luminance_extremes(self):
         matrix = qr_encode(b"clamp", "M")
