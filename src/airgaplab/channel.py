@@ -129,24 +129,22 @@ def apply_waveform_channel(
     preset: ChannelPreset,
     snr_db: float | None = None,
     seed: int = 0,
-    gain: float = 1.0,
 ) -> Waveform:
-    """Bandpass -> gain -> additive white Gaussian noise, seeded.
+    """Bandpass -> additive white Gaussian noise, seeded.
 
     Noise variance is calibrated against the mean power of the active burst
-    of the (filtered, gained) signal so the requested SNR is what a receiver
+    of the (filtered) signal so the requested SNR is what a receiver
     actually measures.  An infinite SNR with no passband is the identity.
     """
     if preset.kind != WAVEFORM:
         raise ValueError(f"preset {preset.name!r} is not a waveform channel")
     if snr_db is None:
         snr_db = preset.snr_db
-    if math.isinf(snr_db) and snr_db > 0 and preset.band is None and gain == 1.0:
+    if math.isinf(snr_db) and snr_db > 0 and preset.band is None:
         return Waveform(w.sample_rate, w.samples.copy())
     out = w.samples
     if preset.band is not None:
         out = _bandpass(out, preset.band, w.sample_rate)
-    out = out * gain
     if not (math.isinf(snr_db) and snr_db > 0):
         power = _burst_power(out)
         noise_var = power / (10.0 ** (snr_db / 10.0))

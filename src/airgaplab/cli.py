@@ -113,6 +113,10 @@ def _cmd_qr_stego(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
 
 def _cmd_usb(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    if args.action in ("hide-slack", "hide-entry"):
+        secret = _parse_hex(parser, args.secret)
+        if len(secret) > mediahide.MAX_SECRET:
+            parser.error(f"secret is {len(secret)} bytes, at most {mediahide.MAX_SECRET} fit")
     if args.action == "create":
         img = mediahide.create_image(args.size_mib * 1024 * 1024)
         with open(args.image, "wb") as fh:
@@ -141,13 +145,13 @@ def _cmd_usb(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         sys.stdout.write("fsck: clean\n" if report.ok else "fsck: inconsistent\n")
         return 0 if report.ok else 1
     elif args.action == "hide-slack":
-        mediahide.hide_slack(img, args.file, _parse_hex(parser, args.secret))
+        mediahide.hide_slack(img, args.file, secret)
         sys.stdout.write(f"secret hidden in slack of {args.file} (airtime: <0.01 s)\n")
     elif args.action == "extract-slack":
         sys.stdout.write(mediahide.extract_slack(img, args.file).hex() + "\n")
         return 0
     elif args.action == "hide-entry":
-        mediahide.hide_entry(img, _parse_hex(parser, args.secret), entry_name=args.entry_name)
+        mediahide.hide_entry(img, secret, entry_name=args.entry_name)
         sys.stdout.write(f"secret hidden in entry {args.entry_name} (airtime: <0.01 s)\n")
     elif args.action == "extract-entry":
         sys.stdout.write(mediahide.extract_entry(img, entry_name=args.entry_name).hex() + "\n")

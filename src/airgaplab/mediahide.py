@@ -21,6 +21,8 @@ import struct
 from contextlib import suppress
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import (
     DiskFull,
     DuplicateName,
@@ -42,8 +44,18 @@ MEDIA_DESCRIPTOR = 0xF8
 MIN_IMAGE = 4 * 1024 * 1024
 MAX_IMAGE = 64 * 1024 * 1024
 
+# On-disk records (Microsoft FAT specification, fatgen103).  BPB: jump, OEM
+# name, bytes/sector, sectors/cluster, reserved sectors, FAT count, root
+# entries, 16-bit total sectors, media, sectors/FAT, sectors/track, heads,
+# hidden sectors, 32-bit total sectors, drive number, boot signature, volume
+# id, volume label, filesystem type.  Directory entry: 8.3 name, attributes,
+# creation time and date, access date, write time and date, first cluster,
+# size in bytes.
+_BOOT = struct.Struct("<3s8sHBHBHHBHHHIIBxBI11s8s")
+_DIRENT = struct.Struct("<11sB2xHHH2xHHHI")
+
 CLUSTER_BYTES = BYTES_PER_SECTOR * SECTORS_PER_CLUSTER
-ROOT_SECTORS = ROOT_ENTRIES * 32 // BYTES_PER_SECTOR
+ROOT_SECTORS = ROOT_ENTRIES * _DIRENT.size // BYTES_PER_SECTOR
 
 FAT_FREE = 0x0000
 FAT_BAD = 0xFFF7
@@ -76,6 +88,8 @@ class FatImage:
     total_sectors: int = field(init=False)
     fat_sectors: int = field(init=False)
     cluster_count: int = field(init=False)
+    # (NUM_FATS, entries) little-endian uint16 view of both FAT copies in `data`.
+    fats: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._parse_geometry()
@@ -83,24 +97,30 @@ class FatImage:
     def _parse_geometry(self) -> None:
         if len(self.data) < BYTES_PER_SECTOR:
             raise MalformedInput(f"{len(self.data)} bytes cannot hold a boot sector")
-        bps = struct.unpack_from("<H", self.data, 11)[0]
-        spc = self.data[13]
-        if bps != BYTES_PER_SECTOR or spc != SECTORS_PER_CLUSTER:
-            raise MalformedInput(f"unsupported geometry: {bps} B/sector, {spc} sectors/cluster")
-        tot16 = struct.unpack_from("<H", self.data, 19)[0]
-        tot32 = struct.unpack_from("<I", self.data, 32)[0]
+        (_, _, bps, spc, reserved, fats, roots, tot16, _, self.fat_sectors,
+         _, _, _, tot32, *_) = _BOOT.unpack_from(self.data)
+        if (bps, spc, reserved, fats, roots) != (
+            BYTES_PER_SECTOR, SECTORS_PER_CLUSTER, RESERVED_SECTORS, NUM_FATS, ROOT_ENTRIES
+        ):
+            raise MalformedInput(
+                f"unsupported geometry: {bps} B/sector, {spc} sectors/cluster, "
+                f"{reserved} reserved sectors, {fats} FATs, {roots} root entries"
+            )
         self.total_sectors = tot16 or tot32
         if self.total_sectors * BYTES_PER_SECTOR > len(self.data):
             raise MalformedInput(
                 f"boot sector declares {self.total_sectors} sectors, image has {len(self.data)} bytes"
             )
-        self.fat_sectors = struct.unpack_from("<H", self.data, 22)[0]
         data_sectors = self.total_sectors - RESERVED_SECTORS - NUM_FATS * self.fat_sectors - ROOT_SECTORS
         if data_sectors < 0:
             raise MalformedInput(f"{self.fat_sectors}-sector FATs and root directory overrun the volume")
         self.cluster_count = data_sectors // SECTORS_PER_CLUSTER
-        if self.fat_sectors * BYTES_PER_SECTOR // 2 < self.cluster_count + 2:
+        entries = self.fat_sectors * BYTES_PER_SECTOR // 2
+        if entries < self.cluster_count + 2:
             raise MalformedInput(f"{self.fat_sectors}-sector FAT cannot map {self.cluster_count} clusters")
+        self.fats = np.frombuffer(
+            self.data, "<u2", NUM_FATS * entries, self.fat_offset(0)
+        ).reshape(NUM_FATS, entries)
 
     # -- region offsets (bytes) --
 
@@ -113,29 +133,28 @@ class FatImage:
 
     @property
     def data_offset(self) -> int:
-        return self.root_offset + ROOT_ENTRIES * 32
+        return self.root_offset + ROOT_ENTRIES * _DIRENT.size
 
     def cluster_offset(self, cluster: int) -> int:
         if not 2 <= cluster < self.cluster_count + 2:
             raise ValueError(f"cluster {cluster} out of range")
         return self.data_offset + (cluster - 2) * CLUSTER_BYTES
 
-    # -- FAT access (writes mirror into both copies) --
+    # -- FAT access through `fats` (writes mirror into both copies) --
 
     def fat_get(self, cluster: int) -> int:
-        return struct.unpack_from("<H", self.data, self.fat_offset(0) + 2 * cluster)[0]
+        return int(self.fats[0, cluster])
 
     def fat_set(self, cluster: int, value: int) -> None:
-        for copy in range(NUM_FATS):
-            struct.pack_into("<H", self.data, self.fat_offset(copy) + 2 * cluster, value)
+        self.fats[:, cluster] = value
 
     def free_clusters(self) -> list[int]:
-        return [c for c in range(2, self.cluster_count + 2) if self.fat_get(c) == FAT_FREE]
+        return (np.flatnonzero(self.fats[0, 2 : self.cluster_count + 2] == FAT_FREE) + 2).tolist()
 
-    def chain(self, first: int, limit: int | None = None) -> list[int]:
+    def chain(self, first: int) -> list[int]:
         out = []
         cluster = first
-        cap = limit if limit is not None else self.cluster_count + 4
+        cap = self.cluster_count + 4
         while 2 <= cluster < self.cluster_count + 2:
             out.append(cluster)
             if len(out) > cap:
@@ -164,28 +183,14 @@ def create_image(total_size: int) -> FatImage:
         fat_sectors = needed
 
     img = bytearray(total_size)
-    boot = img
-    boot[0:3] = b"\xEB\x3C\x90"
-    boot[3:11] = b"MSDOS5.0"
-    struct.pack_into("<H", boot, 11, BYTES_PER_SECTOR)
-    boot[13] = SECTORS_PER_CLUSTER
-    struct.pack_into("<H", boot, 14, RESERVED_SECTORS)
-    boot[16] = NUM_FATS
-    struct.pack_into("<H", boot, 17, ROOT_ENTRIES)
-    if total_sectors < 0x10000:
-        struct.pack_into("<H", boot, 19, total_sectors)
-    boot[21] = MEDIA_DESCRIPTOR
-    struct.pack_into("<H", boot, 22, fat_sectors)
-    struct.pack_into("<H", boot, 24, 32)  # sectors/track
-    struct.pack_into("<H", boot, 26, 64)  # heads
-    if total_sectors >= 0x10000:
-        struct.pack_into("<I", boot, 32, total_sectors)
-    boot[36] = 0x80
-    boot[38] = 0x29
-    struct.pack_into("<I", boot, 39, VOLUME_ID)
-    boot[43:54] = b"NO NAME    "
-    boot[54:62] = b"FAT16   "
-    boot[510:512] = b"\x55\xAA"
+    small = total_sectors < 0x10000  # else the 32-bit total-sectors field holds it
+    _BOOT.pack_into(
+        img, 0, b"\xEB\x3C\x90", b"MSDOS5.0", BYTES_PER_SECTOR, SECTORS_PER_CLUSTER,
+        RESERVED_SECTORS, NUM_FATS, ROOT_ENTRIES, total_sectors if small else 0, MEDIA_DESCRIPTOR,
+        fat_sectors, 32, 64, 0, 0 if small else total_sectors, 0x80, 0x29, VOLUME_ID,
+        b"NO NAME    ", b"FAT16   ",
+    )
+    img[510:512] = b"\x55\xAA"
 
     image = FatImage(img)
     image.fat_set(0, 0xFF00 | MEDIA_DESCRIPTOR)
@@ -223,13 +228,13 @@ def name_from_83(raw: bytes) -> str:
 
 def _iter_root(img: FatImage):
     """Yield (entry_offset, raw_name, attr) for every used root entry."""
-    for off in range(img.root_offset, img.data_offset, 32):
-        first = img.data[off]
-        if first == 0x00:
+    for off in range(img.root_offset, img.data_offset, _DIRENT.size):
+        raw, attr = _DIRENT.unpack_from(img.data, off)[:2]
+        if raw[0] == 0x00:
             return
-        if first == 0xE5:
+        if raw[0] == 0xE5:
             continue
-        yield off, bytes(img.data[off : off + 11]), img.data[off + 11]
+        yield off, raw, attr
 
 
 def _find_entry(img: FatImage, name: str) -> int:
@@ -242,11 +247,11 @@ def _find_entry(img: FatImage, name: str) -> int:
 
 def _extent(img: FatImage, off: int) -> tuple[int, int]:
     """(first cluster, size in bytes) of the root entry at `off`."""
-    return struct.unpack_from("<HI", img.data, off + 26)
+    return _DIRENT.unpack_from(img.data, off)[-2:]
 
 
 def _free_root_slot(img: FatImage) -> int:
-    for off in range(img.root_offset, img.data_offset, 32):
+    for off in range(img.root_offset, img.data_offset, _DIRENT.size):
         if img.data[off] in (0x00, 0xE5):
             return off
     raise DiskFull("root directory is full")
@@ -280,17 +285,10 @@ def add_file(img: FatImage, name: str, contents: bytes, attr: int = ATTR_ARCHIVE
         start = img.cluster_offset(cluster)
         chunk = contents[i * CLUSTER_BYTES : (i + 1) * CLUSTER_BYTES]
         img.data[start : start + CLUSTER_BYTES] = chunk.ljust(CLUSTER_BYTES, b"\x00")
-    entry = bytearray(32)
-    entry[0:11] = name_to_83(name)
-    entry[11] = attr
-    struct.pack_into("<H", entry, 14, FIXED_TIME)
-    struct.pack_into("<H", entry, 16, FIXED_DATE)
-    struct.pack_into("<H", entry, 18, FIXED_DATE)
-    struct.pack_into("<H", entry, 22, FIXED_TIME)
-    struct.pack_into("<H", entry, 24, FIXED_DATE)
-    struct.pack_into("<H", entry, 26, clusters[0] if clusters else 0)
-    struct.pack_into("<I", entry, 28, len(contents))
-    img.data[slot : slot + 32] = entry
+    _DIRENT.pack_into(
+        img.data, slot, name_to_83(name), attr, FIXED_TIME, FIXED_DATE, FIXED_DATE,
+        FIXED_TIME, FIXED_DATE, clusters[0] if clusters else 0, len(contents),
+    )
     return img
 
 
@@ -357,7 +355,7 @@ def extract_entry(img: FatImage, entry_name: str = HIDDEN_ENTRY_NAME) -> bytes:
         off = _find_entry(img, entry_name)
     except NoSuchFile:
         raise NoPayload(f"hidden entry {entry_name!r} absent") from None
-    attr = img.data[off + 11]
+    attr = _DIRENT.unpack_from(img.data, off)[1]
     if not (attr & ATTR_HIDDEN and attr & ATTR_SYSTEM):
         raise NoPayload(f"{entry_name!r} lacks hidden+system attributes")
     return _unseal(read_file(img, entry_name))
@@ -374,10 +372,7 @@ def fsck(img: FatImage) -> FsckReport:
     findings: list[str] = []
     if bytes(img.data[510:512]) != b"\x55\xAA":
         findings.append("boot sector signature missing")
-    fat_len = img.fat_sectors * BYTES_PER_SECTOR
-    if img.data[img.fat_offset(0) : img.fat_offset(0) + fat_len] != img.data[
-        img.fat_offset(1) : img.fat_offset(1) + fat_len
-    ]:
+    if not np.array_equal(img.fats[0], img.fats[1]):
         findings.append("FAT copies differ")
     if img.fat_get(0) & 0xFF != MEDIA_DESCRIPTOR:
         findings.append("FAT[0] does not carry the media descriptor")

@@ -549,12 +549,12 @@ def parse_byte_segment(data_codewords: list[int], version: int) -> tuple[bytes, 
     if mode == 0:
         return b"", (4 + 7) // 8  # terminator-only symbol
     if mode != 0b0100:
-        raise ValueError(f"unsupported segment mode {mode:04b}")
+        raise MalformedInput(f"unsupported segment mode {mode:04b}")
     cc = char_count_bits(version)
     count = bits_to_int(bits[4 : 4 + cc])
     start = 4 + cc
     if start + 8 * count > len(bits):
-        raise ValueError("segment length exceeds symbol capacity")
+        raise MalformedInput("segment length exceeds symbol capacity")
     text = bits_to_bytes(bits[start : start + 8 * count])
     used = start + 8 * count
     term = min(4, len(bits) - used)

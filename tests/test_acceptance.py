@@ -9,6 +9,7 @@ import random
 import shutil
 import subprocess
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -264,7 +265,7 @@ def test_criterion_7_cli_determinism(tmp_path, capsys):
         assert main(["qr-stego", "embed", "--text", str(text), "--secret", "ee" * 32, "--pbm", pbm]) == 0
         assert main(["usb", "create", "--image", img, "--size-mib", "8"]) == 0
         assert main(["usb", "hide-entry", "--image", img, "--secret", "ee" * 32]) == 0
-        grabs.append(tuple(open(p, "rb").read() for p in (wav, swp, t4, pbm, img, trc)))
+        grabs.append(tuple(Path(p).read_bytes() for p in (wav, swp, t4, pbm, img, trc)))
     capsys.readouterr()  # keep the verdict line as the visible output
     _verdict(7, "identical seeded CLI invocations produce byte-identical "
                 "WAV/CSV/PBM/IMG outputs", grabs[0] == grabs[1])

@@ -1,11 +1,13 @@
 """CLI tests: subcommand behavior, exit codes, byte-identical reruns."""
 
 import random
+from pathlib import Path
 
 import pytest
 
 from airgaplab.cli import main
 from airgaplab.mediahide import add_file, create_image
+from airgaplab.optstego import to_pbm
 
 
 def run_cli(capsys, *args):
@@ -26,7 +28,7 @@ class TestPresets:
         path = str(tmp_path / "presets.csv")
         code, _, _ = run_cli(capsys, "presets", "--out", path)
         assert code == 0
-        assert open(path).read().startswith("name,rate")
+        assert Path(path).read_text().startswith("name,rate")
 
 
 class TestTable4:
@@ -35,7 +37,7 @@ class TestTable4:
         code, out, _ = run_cli(capsys, "table4", "--out", path)
         assert code == 0
         assert "overall: pass" in out
-        lines = open(path).read().strip().splitlines()
+        lines = Path(path).read_text().strip().splitlines()
         assert len(lines) == 12
 
 
@@ -70,7 +72,8 @@ class TestExfil:
         path = str(tmp_path / "trace.csv")
         code, _, _ = run_cli(capsys, "exfil", "--channel", "kbd_led", "--seed", "4", "--trace", path)
         assert code == 0
-        assert open(path).readline().strip() == "state,duration_ms"
+        with open(path) as fh:
+            assert fh.readline().strip() == "state,duration_ms"
 
 
 class TestSweep:
@@ -81,7 +84,7 @@ class TestSweep:
             "--step", "2", "--trials", "2", "--out", path,
         )
         assert code == 0
-        lines = open(path).read().strip().splitlines()
+        lines = Path(path).read_text().strip().splitlines()
         assert len(lines) == 1 + 3 * 2
         assert all(len(line.split(",")) == 8 for line in lines)
 
@@ -116,6 +119,20 @@ class TestQrStego:
         assert code == 1
         assert err.startswith("error: MalformedInput")
 
+    def test_extract_numeric_mode_symbol_fails_cleanly(self, capsys, tmp_path):
+        from airgaplab.optstego.qr import matrix_from_data_codewords
+
+        # A conformant v2-M symbol holding the numeric segment "01234567".
+        bits = "0001" + f"{8:010b}" + f"{12:010b}" + f"{345:010b}" + f"{67:07b}" + "0000"
+        bits += "0" * (-len(bits) % 8)
+        codewords = [int(bits[i : i + 8], 2) for i in range(0, len(bits), 8)]
+        codewords += [(0xEC, 0x11)[i % 2] for i in range(28 - len(codewords))]
+        pbm_path = tmp_path / "numeric.pbm"
+        pbm_path.write_text(to_pbm(matrix_from_data_codewords(codewords, 2, "M")))
+        code, _, err = run_cli(capsys, "qr-stego", "extract", "--pbm", str(pbm_path))
+        assert code == 1
+        assert err.startswith("error: MalformedInput")
+
     def test_embed_requires_text_and_secret(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["qr-stego", "embed", "--pbm", str(tmp_path / "x.pbm")])
@@ -133,6 +150,15 @@ def _non_ascii_name(img):
 def _looped_chain(img):
     first, second = img.chain(2)
     img.fat_set(second, first)
+
+
+def _boot_field(offset, width, value):
+    """Corruption that rewrites one little-endian boot-sector field."""
+
+    def corrupt(img):
+        img.data[offset : offset + width] = value.to_bytes(width, "little")
+
+    return corrupt
 
 
 class TestUsb:
@@ -184,8 +210,14 @@ class TestUsb:
             (_non_ascii_name, ["ls"]),
             (_non_ascii_name, ["fsck"]),
             (_looped_chain, ["extract-slack", "--file", "A.BIN"]),
+            (_boot_field(14, 2, 2), ["fsck"]),
+            (_boot_field(16, 1, 1), ["fsck"]),
+            (_boot_field(17, 2, 256), ["add", "--file", "BIG.BIN", "--data", "{big}"]),
         ],
-        ids=["fat-too-small-add", "non-ascii-name-ls", "non-ascii-name-fsck", "looped-chain-extract-slack"],
+        ids=[
+            "fat-too-small-add", "non-ascii-name-ls", "non-ascii-name-fsck", "looped-chain-extract-slack",
+            "two-reserved-sectors-fsck", "one-fat-fsck", "256-root-entries-add",
+        ],
     )
     def test_hostile_image_fails_cleanly(self, capsys, tmp_path, corrupt, argv):
         img = create_image(4 * 1024 * 1024)
@@ -200,6 +232,18 @@ class TestUsb:
         assert code == 1
         assert err.startswith("error: MalformedInput")
         assert path.read_bytes() == bytes(img.data)
+
+    @pytest.mark.parametrize("action", ["hide-slack", "hide-entry"])
+    def test_oversized_secret_usage_error(self, tmp_path, action):
+        img = create_image(4 * 1024 * 1024)
+        add_file(img, "A.BIN", bytes(3000))
+        path = tmp_path / "w.img"
+        path.write_bytes(img.data)
+        with pytest.raises(SystemExit) as exc:
+            main(["usb", action, "--image", str(path), "--file", "A.BIN", "--secret", "ab" * 251])
+        assert exc.value.code == 2
+        assert path.read_bytes() == bytes(img.data)
+
 
 class TestDeterminism:
     def test_repeat_invocations_byte_identical(self, capsys, tmp_path):
@@ -220,6 +264,6 @@ class TestDeterminism:
             run_cli(capsys, "usb", "create", "--image", img, "--size-mib", "4")
             run_cli(capsys, "usb", "hide-entry", "--image", img, "--secret", "dd" * 32)
             outputs.append(
-                tuple(open(p, "rb").read() for p in (wav, csv, pbm, img, tr))
+                tuple(Path(p).read_bytes() for p in (wav, csv, pbm, img, tr))
             )
         assert outputs[0] == outputs[1]

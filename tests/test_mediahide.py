@@ -1,6 +1,7 @@
 """FAT16 media-hiding tests: geometry, transparency, slack and entry payloads."""
 
 import random
+import struct
 from functools import lru_cache
 
 import pytest
@@ -23,6 +24,7 @@ from airgaplab.mediahide import (
     ATTR_SYSTEM,
     CLUSTER_BYTES,
     HIDDEN_ENTRY_NAME,
+    NUM_FATS,
     add_file,
     create_image,
     extract_entry,
@@ -356,3 +358,40 @@ class TestHostileImage:
                 reader(img)
             except AirgapError:
                 pass
+
+
+def _fat_entries_oracle(data: bytes, img) -> list[list[int]]:
+    """Every FAT entry of each copy, one `struct` unpack per entry."""
+    entries = img.fat_sectors * 512 // 2
+    return [
+        [struct.unpack_from("<H", data, img.fat_offset(copy) + 2 * c)[0] for c in range(entries)]
+        for copy in range(NUM_FATS)
+    ]
+
+
+def _fat_flips():
+    """(offset, value) byte overwrites inside the two FAT copies."""
+    img = load_image(_populated_image())
+    offset = st.integers(img.fat_offset(0), img.root_offset - 1)
+    return st.lists(st.tuples(offset, st.integers(0, 255)), min_size=1, max_size=8)
+
+
+class TestFatView:
+    @settings(deadline=None, max_examples=100)
+    @given(flips=_fat_flips(), cluster=st.integers(2, 2040), value=st.integers(0, 0xFFFF))
+    def test_fat_access_matches_bytewise_scan(self, flips, cluster, value):
+        data = bytearray(_populated_image())
+        for offset, byte in flips:
+            data[offset] = byte
+        img = load_image(bytes(data))
+        fats = _fat_entries_oracle(bytes(data), img)
+        assert img.fats.tolist() == fats
+        assert [img.fat_get(c) for c in range(img.cluster_count + 2)] == fats[0][: img.cluster_count + 2]
+        assert img.free_clusters() == [c for c in range(2, img.cluster_count + 2) if fats[0][c] == 0]
+        assert ("FAT copies differ" in fsck(img).findings) == (fats[0] != fats[1])
+
+        cluster = min(cluster, img.cluster_count + 1)
+        img.fat_set(cluster, value)
+        for entries in fats:
+            entries[cluster] = value
+        assert _fat_entries_oracle(bytes(img.data), img) == fats

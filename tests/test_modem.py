@@ -3,6 +3,7 @@
 import math
 import random
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -368,7 +369,7 @@ class TestFileFormats:
         p1, p2 = str(tmp_path / "a.wav"), str(tmp_path / "b.wav")
         write_wav(p1, w)
         write_wav(p2, w)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_wav_readable_by_independent_reader(self, tmp_path):
         from scipy.io import wavfile
@@ -386,7 +387,7 @@ class TestFileFormats:
         trace = trace_modulate([1, 0, 1, 1], 12.5, 37.5)
         path = str(tmp_path / "trace.csv")
         write_trace_csv(path, trace)
-        text = open(path).read()
+        text = Path(path).read_text()
         assert text.splitlines()[0] == "state,duration_ms"
         back = read_trace_csv(path)
         assert [s for s, _ in back.events] == [s for s, _ in trace.events]

@@ -4,9 +4,11 @@ error injection up to and beyond the correction budget."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from airgaplab.errors import MalformedFormatInfo, MalformedInput, PayloadTooLarge, UncorrectableErrors
-from airgaplab.optstego import from_pbm, qr_decode, qr_encode, to_pbm
+from airgaplab.errors import AirgapError, MalformedFormatInfo, MalformedInput, PayloadTooLarge, UncorrectableErrors
+from airgaplab.optstego import EC_LEVELS, from_pbm, qr_decode, qr_encode, stego_extract, to_pbm
 from airgaplab.optstego.qr import (
     ECC_PER_BLOCK,
     GF_EXP,
@@ -14,10 +16,12 @@ from airgaplab.optstego.qr import (
     TOTAL_CODEWORDS,
     QrMatrix,
     byte_mode_capacity,
+    data_codeword_count,
     format_code,
     function_mask,
     gf_mul,
     gf_poly_eval,
+    matrix_from_data_codewords,
     matrix_from_modules,
     rs_correct,
     rs_encode,
@@ -325,3 +329,24 @@ class TestPbm:
     def test_rejects_malformed(self, text):
         with pytest.raises(MalformedInput):
             from_pbm(text)
+
+
+@st.composite
+def _data_codewords(draw):
+    version = draw(st.integers(1, 10))
+    level = draw(st.sampled_from(EC_LEVELS))
+    n = data_codeword_count(version, level)
+    return draw(st.lists(st.integers(0, 255), min_size=n, max_size=n)), version, level
+
+
+@settings(deadline=None, max_examples=200)
+@given(_data_codewords())
+def test_readers_raise_only_airgap_errors_on_arbitrary_data_codewords(drawn):
+    """Any segment mode, length or padding behind valid RS: no bare exception escapes."""
+    codewords, version, level = drawn
+    m = from_pbm(to_pbm(matrix_from_data_codewords(codewords, version, level)))
+    for reader in (qr_decode, stego_extract):
+        try:
+            reader(m)
+        except AirgapError:
+            pass
