@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import butter, lfilter
 
 from .modem import EventTrace, Waveform
 
@@ -105,6 +104,8 @@ def catalog_csv() -> str:
 
 
 def _bandpass(samples: np.ndarray, band: tuple[float, float], sample_rate: int) -> np.ndarray:
+    from scipy.signal import butter, lfilter  # here, not at the top: it dominates import time
+
     nyq = sample_rate / 2.0
     lo = max(band[0], 1e-6) / nyq
     hi = min(band[1], nyq * 0.999999) / nyq
@@ -118,10 +119,15 @@ def _burst_power(samples: np.ndarray) -> float:
     peak = mag.max() if len(mag) else 0.0
     if peak <= 0.0:
         return 0.0
-    active = np.nonzero(mag > 1e-6 * peak)[0]
-    first, last = int(active[0]), int(active[-1])
+    active = mag > 1e-6 * peak
+    first, last = int(active.argmax()), len(active) - 1 - int(active[::-1].argmax())
     burst = samples[first : last + 1]
     return float(np.mean(burst * burst))
+
+
+def _rng(seed: int) -> np.random.Generator:
+    """Noise stream of a seed taken mod 2**64, so negative seeds work."""
+    return np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
 
 
 def apply_waveform_channel(
@@ -148,8 +154,9 @@ def apply_waveform_channel(
     if not (math.isinf(snr_db) and snr_db > 0):
         power = _burst_power(out)
         noise_var = power / (10.0 ** (snr_db / 10.0))
-        rng = np.random.default_rng(seed)
-        out = out + rng.normal(0.0, math.sqrt(noise_var), len(out))
+        noise = _rng(seed).normal(0.0, math.sqrt(noise_var), len(out))
+        noise += out
+        out = noise
     return Waveform(w.sample_rate, out)
 
 
@@ -160,8 +167,7 @@ def apply_trace_channel(t: EventTrace, preset: ChannelPreset, seed: int = 0) -> 
     j = preset.jitter_fraction
     if j == 0.0:
         return EventTrace(list(t.events))
-    rng = np.random.default_rng(seed)
-    factors = rng.uniform(1.0 - j, 1.0 + j, len(t.events))
+    factors = _rng(seed).uniform(1.0 - j, 1.0 + j, len(t.events))
     return EventTrace([(state, dur * f) for (state, dur), f in zip(t.events, factors)])
 
 

@@ -108,20 +108,48 @@ def _symbol_boundaries(n_symbols: int, cfg: ModemConfig) -> np.ndarray:
     return np.round(idx * cfg.sample_rate / cfg.symbol_rate).astype(np.int64)
 
 
+def _synthesize(bits, cfg: ModemConfig) -> Waveform:
+    """Continuous-phase tone per symbol, from per-bit cos/sin tables.
+
+    Symbol k sends A*sin(phi_k + w*j) for j < its length, which equals
+    sin(phi_k)*A*cos(w*j) + cos(phi_k)*A*sin(w*j): one row of a
+    (symbols x 4) by (4 x ceil(sps)) product.  phi_k does not drift: it is
+    the tone cycles f*N/sample_rate of the N samples each tone has sent so
+    far, reduced mod 1 from f's whole part (an exact integer product) and
+    its fraction separately.  Rows for floor(sps)-long symbols lose their
+    last column to a mask.
+    """
+    bits = np.asarray(list(bits))
+    if not np.all((bits == 0) | (bits == 1)):
+        raise ValueError("bits must be 0 or 1")
+    bits = bits.astype(np.intp)
+    # Tone and amplitude of bit 0 and bit 1.  An OOK '0' is the carrier at
+    # zero amplitude, so the carrier's phase keeps running through it.
+    ook = cfg.scheme == "ook"
+    freqs = np.array([cfg.f_carrier] * 2 if ook else [cfg.f0, cfg.f1], dtype=np.float64)
+    gains = np.array([0.0 if ook else cfg.amplitude, cfg.amplitude])
+    lengths = np.diff(_symbol_boundaries(bits.size, cfg))
+    per_tone = lengths[:, None] * (bits[:, None] == np.arange(2))
+    sent = np.cumsum(per_tone, axis=0) - per_tone  # samples at each tone before symbol k
+    whole = np.floor(freqs)
+    cycles = (np.fmod(sent * whole, cfg.sample_rate) + sent * (freqs - whole)) / cfg.sample_rate
+    phase = 2.0 * np.pi * np.remainder(cycles.sum(axis=1), 1.0)
+    coef = np.zeros((bits.size, 2, 2))
+    coef[np.arange(bits.size), bits] = np.column_stack((np.sin(phase), np.cos(phase)))
+    width = math.ceil(cfg.samples_per_symbol)
+    angles = np.outer(2.0 * np.pi * freqs / cfg.sample_rate, np.arange(width))
+    table = np.stack((np.cos(angles), np.sin(angles)), axis=1) * gains[:, None, None]
+    # einsum, not @: this 4-deep product is memory-bound; threaded BLAS only slows it.
+    rows = np.einsum("kt,tj->kj", coef.reshape(bits.size, 4), table.reshape(4, width))
+    return Waveform(cfg.sample_rate, rows[np.arange(width) < lengths[:, None]])
+
+
 def ook_modulate(bits, cfg: ModemConfig) -> Waveform:
     """On-off keying: '1' is a sine burst at f_carrier, '0' is silence."""
     cfg.validate()
     if cfg.scheme != "ook":
         raise ValueError("config scheme is not OOK")
-    bits = np.asarray(list(bits), dtype=np.int8)
-    if bits.size == 0:
-        return Waveform(cfg.sample_rate, np.zeros(0))
-    bounds = _symbol_boundaries(bits.size, cfg)
-    total = int(bounds[-1])
-    gate = np.repeat(bits.astype(np.float64), np.diff(bounds))
-    n = np.arange(total, dtype=np.float64)
-    carrier = np.sin(2.0 * np.pi * cfg.f_carrier * n / cfg.sample_rate)
-    return Waveform(cfg.sample_rate, cfg.amplitude * gate * carrier)
+    return _synthesize(bits, cfg)
 
 
 def bfsk_modulate(bits, cfg: ModemConfig) -> Waveform:
@@ -129,15 +157,7 @@ def bfsk_modulate(bits, cfg: ModemConfig) -> Waveform:
     cfg.validate()
     if cfg.scheme != "bfsk":
         raise ValueError("config scheme is not BFSK")
-    bits = np.asarray(list(bits), dtype=np.int8)
-    if bits.size == 0:
-        return Waveform(cfg.sample_rate, np.zeros(0))
-    bounds = _symbol_boundaries(bits.size, cfg)
-    freqs = np.where(bits > 0, cfg.f1, cfg.f0).astype(np.float64)
-    omega = np.repeat(2.0 * np.pi * freqs / cfg.sample_rate, np.diff(bounds))
-    # Phase accumulator carried over symbol boundaries; first sample at phase 0.
-    phase = np.concatenate(([0.0], np.cumsum(omega[:-1])))
-    return Waveform(cfg.sample_rate, cfg.amplitude * np.sin(phase))
+    return _synthesize(bits, cfg)
 
 
 class _ToneBank:

@@ -5,6 +5,7 @@ The end-to-end criterion synthesizes every waveform preset 100 times and is
 the bulk of the runtime (about a minute).
 """
 
+import hashlib
 import random
 import shutil
 import subprocess
@@ -42,6 +43,8 @@ from airgaplab.optstego.qr import ECC_PER_BLOCK, byte_mode_capacity
 SNR_GATE_DB = 30.0
 JITTER_GATE = 0.10
 RUNS_PER_PRESET = 100
+# sha256 of repr() of criterion 2's (preset, seed, success, ber, error_kind) rows.
+CRITERION_2_ROWS_SHA256 = "11cfebae2902fd22efbac49920f4539a609389e72ed121546a2e696707d32b1e"
 
 
 def _verdict(number: int, label: str, passed: bool, detail: str = "") -> None:
@@ -70,13 +73,14 @@ def test_criterion_1_table4_reproduction():
 
 
 def test_criterion_2_end_to_end_exfiltration():
-    failures = []
+    failures, rows = [], []
     for preset in preset_catalog():
         snr = SNR_GATE_DB if preset.kind == "waveform" else None
         if preset.kind == "trace":
             assert preset.jitter_fraction <= JITTER_GATE
         for seed in range(RUNS_PER_PRESET):
             report = run_scenario(ScenarioConfig(channel=preset.name, snr_db=snr, seed=seed)).report
+            rows.append((report.preset, report.seed, report.success, report.ber, report.error_kind))
             if not (report.success and report.ber == 0.0):
                 failures.append((preset.name, seed, report.error_kind))
     _verdict(
@@ -86,6 +90,7 @@ def test_criterion_2_end_to_end_exfiltration():
         not failures,
         f"{11 * RUNS_PER_PRESET} runs" + (f", failures: {failures[:5]}" if failures else ""),
     )
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == CRITERION_2_ROWS_SHA256
 
 
 def test_criterion_3_fec_crc_oracle_suite():

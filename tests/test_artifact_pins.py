@@ -1,15 +1,22 @@
-"""Byte pins: seeded QR, FAT16 and bitstream artifacts hash to recorded values.
+"""Byte pins: seeded QR, FAT16, bitstream and transmit WAV artifacts hash to
+recorded values.
 
-Drift in the QR interleave or data-cell order, the Hamming(7,4) tables, or
-the FAT16 boot sector (16-bit and 32-bit total-sectors forms), entry and
-hidden-payload layout changes a hash here.
+Drift in the QR interleave or data-cell order, the Hamming(7,4) tables, the
+FAT16 boot sector (16-bit and 32-bit total-sectors forms), entry and
+hidden-payload layout, or the OOK/BFSK transmitter's samples changes a hash
+here.
 """
 
 import hashlib
 import random
 
+import pytest
+
+from airgaplab.channel import lookup
+from airgaplab.harness import waveform_modem_config
 from airgaplab.keyframe import bits_to_text, frame_encode
 from airgaplab.mediahide import add_file, create_image, hide_entry, hide_slack
+from airgaplab.modem import bfsk_modulate, ook_modulate, write_wav
 from airgaplab.optstego import stego_embed, to_pbm
 from airgaplab.optstego.qr import byte_mode_capacity
 
@@ -21,6 +28,19 @@ IMAGE_SHA256 = {
     64: "38042794d5efe27f30da8f0dcff449363e33cac7631c343a4b4126cdf06ef9d4",
 }
 FRAME_SHA256 = "aa7e9f0264980e480d2dad3ec1147cb462a4be1517771729c195386ed549e691"
+# WAV bytes of each waveform preset's transmitted frame of bytes(range(32)).
+# gsmem and magnetic share one modem config, as do ultrasonic and mosquito.
+TRANSMIT_WAV_SHA256 = {
+    "airhopper": "7d9a01e2fa7013577b8b09880230ee2159521dcaad43d57061e4653f004b00e8",
+    "gsmem": "58ff80e42a66210ad9154bbcb41268707cee262017d3f1ac7ed3f298c6a7fde4",
+    "radiot": "9ea664693e75dad71b9571dfa24d517ac205433efc16c4c34daccb1f9283d041",
+    "powerhammer": "2109ed84d6c71f06612350f7a0599031e82206126b551ca2712a6c2b9eab12be",
+    "magnetic": "58ff80e42a66210ad9154bbcb41268707cee262017d3f1ac7ed3f298c6a7fde4",
+    # Exact-phase BFSK: 217 259 of these 1 252 800 samples differ by one LSB
+    # from a per-sample cumsum phase, which drifts by up to 3e-5.
+    "ultrasonic": "6e30c27640518168a0e5915f2476b606f5bf7f155eab7dda229d8c8ef216a68b",
+    "mosquito": "6e30c27640518168a0e5915f2476b606f5bf7f155eab7dda229d8c8ef216a68b",
+}
 
 
 def test_seeded_artifacts_keep_their_bytes():
@@ -50,3 +70,12 @@ def test_seeded_artifacts_keep_their_bytes():
     assert symbols.hexdigest() == QR_V3_TO_V10_SHA256
     assert images == IMAGE_SHA256
     assert hashlib.sha256(frame.encode()).hexdigest() == FRAME_SHA256
+
+
+@pytest.mark.parametrize("preset", sorted(TRANSMIT_WAV_SHA256))
+def test_transmitted_frame_keeps_its_wav_bytes(preset, tmp_path):
+    cfg = waveform_modem_config(lookup(preset))
+    modulate = bfsk_modulate if cfg.scheme == "bfsk" else ook_modulate
+    path = tmp_path / "tx.wav"
+    write_wav(str(path), modulate(frame_encode(bytes(range(32))), cfg))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == TRANSMIT_WAV_SHA256[preset]

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from airgaplab.channel import (
     TIME_BUDGET_FACTOR,
@@ -124,6 +126,56 @@ class TestWaveformChannel:
         with pytest.raises(ValueError):
             apply_waveform_channel(w, lookup("kbd_led"), snr_db=20, seed=0)
 
+    @pytest.mark.parametrize("preset", ["ultrasonic", "powerhammer"])
+    def test_negative_seed_is_taken_mod_2_64(self, preset):
+        rng = random.Random(5)
+        w = bfsk_modulate([rng.getrandbits(1) for _ in range(10)], BFSK)
+        a = apply_waveform_channel(w, lookup(preset), snr_db=10, seed=-1)
+        b = apply_waveform_channel(w, lookup(preset), snr_db=10, seed=2**64 - 1)
+        assert np.array_equal(a.samples, b.samples)
+
+
+def nonzero_burst_power(samples):
+    """The burst-power formula that lists every active index."""
+    mag = np.abs(samples)
+    peak = mag.max() if len(mag) else 0.0
+    if peak <= 0.0:
+        return 0.0
+    active = np.nonzero(mag > 1e-6 * peak)[0]
+    burst = samples[active[0] : active[-1] + 1]
+    return float(np.mean(burst * burst))
+
+
+level = st.floats(-1e6, 1e6) | st.floats(-1e-3, 1e-3) | st.just(0.0)
+
+
+@st.composite
+def bursts(draw):
+    """A burst, possibly silent or a single sample, between runs of zeros."""
+    core = draw(st.lists(level, max_size=40))
+    lead, trail = draw(st.integers(0, 30)), draw(st.integers(0, 30))
+    return np.concatenate((np.zeros(lead), np.asarray(core, dtype=np.float64), np.zeros(trail)))
+
+
+class TestBurstPower:
+    @given(samples=bursts())
+    def test_matches_nonzero_formula_exactly(self, samples):
+        assert _burst_power(samples) == nonzero_burst_power(samples)
+
+    @pytest.mark.parametrize(
+        "samples, want",
+        [
+            ([], 0.0),
+            ([0.0, 0.0, 0.0], 0.0),
+            ([0.0, 0.0, -2.0, 0.0], 4.0),
+            ([0.0, 3.0, 0.0, 0.0, -1.0, 0.0], 10.0 / 4),
+            ([0.0, 1e-9, -1.0, 1e-9, 0.0], 1.0),
+        ],
+        ids=["empty", "all-silent", "single-negative-peak", "leading-and-trailing-silence", "below-threshold-edges"],
+    )
+    def test_examples(self, samples, want):
+        assert _burst_power(np.asarray(samples, dtype=np.float64)) == want
+
 
 class TestTraceChannel:
     def test_zero_jitter_is_identity(self):
@@ -157,3 +209,9 @@ class TestTraceChannel:
     def test_kind_mismatch_rejected(self):
         with pytest.raises(ValueError):
             apply_trace_channel(EventTrace([("on", 5.0)]), lookup("ultrasonic"), seed=0)
+
+    def test_negative_seed_is_taken_mod_2_64(self):
+        trace = trace_modulate([1, 0, 1, 1, 0], 50, 50)
+        a = apply_trace_channel(trace, lookup("kbd_led"), seed=-1)
+        assert a.events == apply_trace_channel(trace, lookup("kbd_led"), seed=2**64 - 1).events
+        assert a.events != apply_trace_channel(trace, lookup("kbd_led"), seed=1).events

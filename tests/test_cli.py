@@ -1,10 +1,14 @@
 """CLI tests: subcommand behavior, exit codes, byte-identical reruns."""
 
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import airgaplab
 from airgaplab.cli import main
 from airgaplab.mediahide import add_file, create_image
 from airgaplab.optstego import to_pbm
@@ -267,3 +271,23 @@ class TestDeterminism:
                 tuple(Path(p).read_bytes() for p in (wav, csv, pbm, img, tr))
             )
         assert outputs[0] == outputs[1]
+
+
+class TestStartup:
+    def test_scipy_signal_loads_only_for_banded_presets(self, tmp_path):
+        # A fresh interpreter: this one has scipy.signal loaded already.
+        image = str(tmp_path / "usb.img")
+        script = f"""
+import sys
+from airgaplab.cli import main
+codes = [main(["presets"]), main(["table4"]), main(["usb", "create", "--image", {image!r}, "--size-mib", "4"]),
+         main(["exfil", "--channel", "radiot", "--seed", "1"])]
+print(codes, "scipy.signal" in sys.modules)
+codes.append(main(["exfil", "--channel", "ultrasonic", "--seed", "1"]))
+print(codes, "scipy.signal" in sys.modules)
+"""
+        src = str(Path(airgaplab.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+        verdicts = [line for line in result.stdout.splitlines() if line.startswith("[")]
+        assert verdicts == ["[0, 0, 0, 0] False", "[0, 0, 0, 0, 0] True"]

@@ -3,6 +3,7 @@
 import math
 import random
 import wave
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ from airgaplab.modem import (
     write_trace_csv,
     write_wav,
 )
-from airgaplab.modem import _ToneBank
+from airgaplab.modem import _synthesize, _ToneBank
 
 OOK = ModemConfig(scheme="ook", symbol_rate=100, sample_rate=8000, f_carrier=1000, amplitude=0.8)
 BFSK = ModemConfig(scheme="bfsk", symbol_rate=20, sample_rate=48000, f0=17500, f1=18500, amplitude=0.8)
@@ -158,6 +159,20 @@ class TestBfsk:
         assert frame_decode(bfsk_demodulate(bfsk_modulate(bits, BFSK), BFSK)) == key
 
 
+@pytest.mark.parametrize("modulate, cfg", [(ook_modulate, OOK), (bfsk_modulate, BFSK)])
+class TestBitValues:
+    @pytest.mark.parametrize("bits", [[0, 2, 1], [1, -1], [0.5], np.array([1, 0, 3], dtype=np.uint8)])
+    def test_non_binary_bits_rejected(self, modulate, cfg, bits):
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            modulate(bits, cfg)
+
+    def test_bools_and_uint8_arrays_match_int_lists(self, modulate, cfg):
+        bits = [1, 0, 0, 1, 1]
+        want = modulate(bits, cfg).samples
+        assert np.array_equal(modulate([bool(b) for b in bits], cfg).samples, want)
+        assert np.array_equal(modulate(np.array(bits, dtype=np.uint8), cfg).samples, want)
+
+
 class TestBerAt30Db:
     def test_ook_zero_errors_over_ten_thousand_bits(self):
         from airgaplab.channel import apply_waveform_channel, lookup
@@ -273,6 +288,63 @@ class TestReceiverOracle:
         want, peak = brute_force_soft_symbols(samples, cfg, offset, n_symbols)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-9 * peak
+
+
+def exact_phase_waveform(bits, cfg):
+    """Each sample from its exact phase.  The tone cycles elapsed before a
+    symbol are summed as exact fractions of the float tones and reduced
+    mod 1 before any rounding; only the offset within a symbol is a float."""
+    out, elapsed = [], Fraction(0)
+    for k, bit in enumerate(bits):
+        length = round((k + 1) * cfg.sample_rate / cfg.symbol_rate) - round(k * cfg.sample_rate / cfg.symbol_rate)
+        if cfg.scheme == "ook":
+            tone, gain = cfg.f_carrier, cfg.amplitude * bit
+        else:
+            tone, gain = (cfg.f1 if bit else cfg.f0), cfg.amplitude
+        step = Fraction(tone) / cfg.sample_rate
+        cycles = float(elapsed) + float(step) * np.arange(length)
+        out.append(gain * np.sin(2.0 * np.pi * cycles))
+        elapsed = (elapsed + step * length) % 1
+    return np.concatenate(out)
+
+
+@st.composite
+def transmitter_cases(draw):
+    """Random bits on a config with integer or non-integer samples/symbol
+    (up to 2400, so up to ~10^5 samples) and arbitrary tones below Nyquist."""
+    symbol_rate = draw(st.sampled_from([7, 20, 30]) | st.integers(20, 400) | st.floats(7.0, 400.0))
+    sample_rate = draw(st.sampled_from([8000, 44100, 48000]) | st.integers(math.ceil(8 * symbol_rate), 48000))
+    tone = st.floats(0.0, sample_rate / 2, exclude_max=True) | st.integers(0, math.ceil(sample_rate / 2) - 1)
+    scheme = draw(st.sampled_from(["ook", "bfsk"]))
+    f0, f1 = draw(tone), draw(tone)
+    assume(scheme == "ook" or f0 != f1)
+    amplitude = draw(st.floats(0.05, 1.0))
+    cfg = ModemConfig(scheme, symbol_rate, sample_rate, f_carrier=f0, f0=f0, f1=f1, amplitude=amplitude)
+    cfg.validate()
+    max_symbols = max(1, min(64, int(100_000 / cfg.samples_per_symbol)))
+    bits = draw(st.lists(st.integers(0, 1), min_size=1, max_size=max_symbols))
+    return cfg, bits
+
+
+class TestTransmitterOracle:
+    @settings(deadline=None)
+    @given(case=transmitter_cases())
+    def test_synthesize_matches_exact_phase(self, case):
+        cfg, bits = case
+        got = _synthesize(bits, cfg).samples
+        want = exact_phase_waveform(bits, cfg)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-9 * cfg.amplitude
+
+    @pytest.mark.parametrize("preset", ["ultrasonic", "airhopper", "gsmem", "radiot", "powerhammer"])
+    def test_preset_frames_match_exact_phase(self, preset):
+        from airgaplab.channel import lookup
+        from airgaplab.harness import waveform_modem_config
+
+        cfg = waveform_modem_config(lookup(preset))
+        bits = frame_encode(bytes(range(32)))
+        got = _synthesize(bits, cfg).samples
+        assert np.abs(got - exact_phase_waveform(bits, cfg)).max() <= 1e-9 * cfg.amplitude
 
 
 class TestEventTraces:
