@@ -10,7 +10,7 @@ simulations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -169,7 +169,3 @@ def apply_trace_channel(t: EventTrace, preset: ChannelPreset, seed: int = 0) -> 
         return EventTrace(list(t.events))
     factors = _rng(seed).uniform(1.0 - j, 1.0 + j, len(t.events))
     return EventTrace([(state, dur * f) for (state, dur), f in zip(t.events, factors)])
-
-
-def with_jitter(preset: ChannelPreset, jitter_fraction: float) -> ChannelPreset:
-    return replace(preset, jitter_fraction=jitter_fraction)

@@ -35,17 +35,12 @@ TX_AMPLITUDE = 0.8
 @dataclass
 class ScenarioConfig:
     channel: str
-    key: bytes | keyframe.PrivateKey | None = None  # None: derive from the seed
+    key: bytes | None = None  # None: derive from the seed
     snr_db: float | None = None  # None: preset default
     seed: int = 0
     symbol_rate: float | None = None  # None: preset nominal bit rate
     f0: float | None = None
     f1: float | None = None
-
-    def key_bytes(self) -> bytes | None:
-        if isinstance(self.key, keyframe.PrivateKey):
-            return self.key.data
-        return self.key
 
 
 @dataclass
@@ -138,9 +133,7 @@ def payload_ber(key: bytes, received_bits: list[int]) -> float:
 def run_scenario(cfg: ScenarioConfig) -> RunResult:
     """One deterministic exfiltration attempt through a channel preset."""
     preset = chan.lookup(cfg.channel)
-    key = cfg.key_bytes()
-    if key is None:
-        key = derive_key(cfg.seed)
+    key = cfg.key if cfg.key is not None else derive_key(cfg.seed)
     bits = keyframe.frame_encode(key)
     noise_seed = (cfg.seed ^ STAGE_NOISE) & 0xFFFFFFFFFFFFFFFF
     snr = cfg.snr_db if cfg.snr_db is not None else preset.snr_db

@@ -16,7 +16,6 @@ correction.
 
 from __future__ import annotations
 
-import secrets
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +71,8 @@ def hamming74_decode(codeword: int) -> tuple[int, bool]:
     """
     if not 0 <= codeword <= 127:
         raise ValueError(f"codeword out of range: {codeword}")
-    return _HAMMING_DECODE[codeword]
+    nibble = int(_NIBBLE_OF[codeword])
+    return nibble, _HAMMING_ENCODE[nibble] != codeword
 
 
 def _hamming_encode_one(nibble: int) -> int:
@@ -87,35 +87,14 @@ def _hamming_encode_one(nibble: int) -> int:
 
 
 _HAMMING_ENCODE = [_hamming_encode_one(n) for n in range(16)]
+# The same 16 codewords as rows of 7 bits, MSB first.
+_CODEWORD_BITS = np.unpackbits(np.array(_HAMMING_ENCODE, np.uint8)[:, None], axis=1)[:, 1:]
 
 # The code is perfect: every 7-bit word is a codeword or one bit flip away
 # from exactly one, so the decode table is the codewords and their neighbours.
-_HAMMING_DECODE = [(0, False)] * 128
-for _nibble, _codeword in enumerate(_HAMMING_ENCODE):
-    for _flip in (0, 1, 2, 4, 8, 16, 32, 64):
-        _HAMMING_DECODE[_codeword ^ _flip] = (_nibble, _flip != 0)
-
-
-@dataclass(frozen=True)
-class PrivateKey:
-    """An exactly-32-byte secret payload (the exfiltration subject)."""
-
-    data: bytes
-
-    def __post_init__(self) -> None:
-        if len(self.data) != KEY_BYTES:
-            raise ValueError(f"private key must be {KEY_BYTES} bytes, got {len(self.data)}")
-
-    @classmethod
-    def generate(cls) -> "PrivateKey":
-        return cls(secrets.token_bytes(KEY_BYTES))
-
-    @classmethod
-    def from_hex(cls, text: str) -> "PrivateKey":
-        return cls(bytes.fromhex(text))
-
-    def hex(self) -> str:
-        return self.data.hex()
+_NIBBLE_OF = np.zeros(128, np.uint8)
+for _flip in (0, 1, 2, 4, 8, 16, 32, 64):
+    _NIBBLE_OF[np.array(_HAMMING_ENCODE) ^ _flip] = np.arange(16)
 
 
 @dataclass(frozen=True)
@@ -146,31 +125,7 @@ class Frame:
         return bytes([self.length]) + self.payload + self.crc.to_bytes(2, "big")
 
 
-def int_to_bits(value: int, width: int) -> list[int]:
-    return [(value >> (width - 1 - i)) & 1 for i in range(width)]
-
-
-def bits_to_int(bits: list[int]) -> int:
-    value = 0
-    for b in bits:
-        value = (value << 1) | (b & 1)
-    return value
-
-
-def bytes_to_bits(data: bytes) -> list[int]:
-    out = []
-    for byte in data:
-        out.extend(int_to_bits(byte, 8))
-    return out
-
-
-def bits_to_bytes(bits: list[int]) -> bytes:
-    if len(bits) % 8:
-        raise ValueError("bit count not a multiple of 8")
-    return bytes(bits_to_int(bits[i : i + 8]) for i in range(0, len(bits), 8))
-
-
-HEADER_PATTERN = int_to_bits(PREAMBLE, 16) + int_to_bits(SYNC_WORD, 16)
+HEADER_PATTERN = np.unpackbits(np.array([PREAMBLE, SYNC_WORD], ">u2").view(np.uint8)).tolist()
 SYNC_PATTERN = HEADER_PATTERN[16:]
 
 # First coded payload bit of a transmitted frame: header plus coded length byte.
@@ -184,11 +139,9 @@ def frame_bit_count(payload_len: int) -> int:
 
 def frame_encode(payload: bytes) -> list[int]:
     """Frame and FEC-code a payload into a transmit-ready bit list."""
-    bits = list(HEADER_PATTERN)
-    for byte in Frame.for_payload(payload).body():
-        bits.extend(int_to_bits(hamming74_encode(byte >> 4), 7))
-        bits.extend(int_to_bits(hamming74_encode(byte & 0x0F), 7))
-    return bits
+    body = np.frombuffer(Frame.for_payload(payload).body(), np.uint8)
+    nibbles = np.column_stack((body >> 4, body & 0x0F))
+    return HEADER_PATTERN + _CODEWORD_BITS[nibbles].ravel().tolist()
 
 
 def find_header(bits: list[int], pattern: list[int], max_mismatch: int) -> list[tuple[int, int]]:
@@ -209,10 +162,11 @@ def decode_body(bits: list[int], start: int, count: int) -> bytes:
     Each byte is two Hamming(7,4) codewords, high nibble first; bits past
     the end of `bits` read as zeros.
     """
-    coded = list(bits[start : start + 14 * count])
-    coded += [0] * (14 * count - len(coded))
-    nibbles = [hamming74_decode(bits_to_int(coded[i : i + 7]))[0] for i in range(0, len(coded), 7)]
-    return bytes((hi << 4) | lo for hi, lo in zip(nibbles[::2], nibbles[1::2]))
+    present = bits[start : start + 14 * count]
+    coded = np.zeros((count, 2, 7), np.uint8)
+    coded.reshape(-1)[: len(present)] = present
+    nibbles = _NIBBLE_OF[np.packbits(coded, axis=2)[..., 0] >> 1]  # 7 bits pack into the top of a byte
+    return ((nibbles[:, 0] << 4) | nibbles[:, 1]).tobytes()
 
 
 def _decode_at(bits: list[int], start: int) -> bytes:

@@ -86,21 +86,6 @@ class EventTrace:
 
     events: list[tuple[str, float]] = field(default_factory=list)
 
-    def total_ms(self) -> float:
-        return sum(d for _, d in self.events)
-
-    def normalized(self) -> "EventTrace":
-        """Merge consecutive same-state events and drop zero durations."""
-        merged: list[tuple[str, float]] = []
-        for state, dur in self.events:
-            if dur <= 0:
-                continue
-            if merged and merged[-1][0] == state:
-                merged[-1] = (state, merged[-1][1] + dur)
-            else:
-                merged.append((state, dur))
-        return EventTrace(merged)
-
 
 def _symbol_boundaries(n_symbols: int, cfg: ModemConfig) -> np.ndarray:
     """Per-symbol sample boundaries, rounded without accumulating drift."""
@@ -268,15 +253,13 @@ def _demodulate(w: Waveform, cfg: ModemConfig) -> list[int]:
         raise SignalTooShort(f"{len(w.samples)} samples < one symbol ({sps:.0f})")
     bank = _ToneBank(w.samples, cfg)
     aligned = _harden(bank.soft_symbols(0, n_symbols), cfg)
+    if find_header(aligned, HEADER_PATTERN, HEADER_MATCH_TOLERANCE):
+        return aligned
     proposed = _propose_offset(bank, n_symbols)
     if proposed == 0:
         return aligned
     shifted = _harden(bank.soft_symbols(proposed, n_symbols), cfg)
-    if find_header(shifted, HEADER_PATTERN, HEADER_MATCH_TOLERANCE) and not find_header(
-        aligned, HEADER_PATTERN, HEADER_MATCH_TOLERANCE
-    ):
-        return shifted
-    return aligned
+    return shifted if find_header(shifted, HEADER_PATTERN, HEADER_MATCH_TOLERANCE) else aligned
 
 
 def ook_demodulate(w: Waveform, cfg: ModemConfig) -> list[int]:
@@ -359,7 +342,7 @@ def read_wav(path: str) -> Waveform:
         with wave.open(path, "rb") as fh:
             channels, width, rate, count = fh.getnchannels(), fh.getsampwidth(), fh.getframerate(), fh.getnframes()
             raw = fh.readframes(count)
-    except (wave.Error, EOFError) as exc:
+    except (wave.Error, EOFError, RuntimeError) as exc:  # RuntimeError: a chunk size runs past the file
         raise MalformedInput(f"{path}: not a readable WAV file ({str(exc) or 'truncated'})") from None
     if channels != 1 or width != 2:
         raise MalformedInput(f"{path}: want mono 16-bit PCM, got {channels} channel(s) of {8 * width}-bit")
@@ -377,17 +360,23 @@ def write_trace_csv(path: str, trace: EventTrace) -> None:
 
 
 def read_trace_csv(path: str) -> EventTrace:
-    """Parse state,duration_ms rows; the header row is optional."""
+    """Parse UTF-8 state,duration_ms rows; the header row is optional."""
     events: list[tuple[str, float]] = []
-    with open(path, newline="") as fh:
-        for number, row in enumerate(csv.reader(fh), 1):
-            if not row or (number == 1 and row[0] == "state"):
-                continue
-            try:
-                duration = float(row[1])
-            except (IndexError, ValueError):
-                raise MalformedInput(f"trace row {number}: want state,duration_ms, got {row}") from None
-            if not math.isfinite(duration):
-                raise MalformedInput(f"trace row {number}: duration {row[1]!r} is not finite")
-            events.append((row[0], duration))
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            rows = list(csv.reader(fh))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise MalformedInput(f"{path}: not a UTF-8 CSV trace ({exc})") from None
+    for number, row in enumerate(rows, 1):
+        if not row or (number == 1 and row[0] == "state"):
+            continue
+        try:
+            duration = float(row[1])
+        except (IndexError, ValueError):
+            raise MalformedInput(f"trace row {number}: want state,duration_ms, got {row}") from None
+        if not (math.isfinite(duration) and duration >= 0):
+            raise MalformedInput(f"trace row {number}: duration {row[1]!r} is not a finite non-negative number")
+        if row[0] not in ("on", "off"):
+            raise MalformedInput(f"trace row {number}: state {row[0]!r} is neither 'on' nor 'off'")
+        events.append((row[0], duration))
     return EventTrace(events)

@@ -14,8 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from ..errors import MalformedFormatInfo, MalformedInput, PayloadTooLarge, UncorrectableErrors
-from ..keyframe import bits_to_bytes, bits_to_int, bytes_to_bits, int_to_bits
 
 MIN_VERSION = 1
 MAX_VERSION = 10
@@ -320,9 +321,10 @@ def assemble_data_codewords(
     pad_count = padding_room(version, ec_level, len(data))
     if pad_count < 0:
         raise PayloadTooLarge(f"{len(data)} bytes exceed version {version}-{ec_level} capacity")
-    bits = int_to_bits(0b0100, 4) + int_to_bits(len(data), char_count_bits(version))
-    bits += bytes_to_bits(data) + [0] * 4  # terminator
-    codewords = list(bits_to_bytes(bits))
+    # Mode 0100, count, payload and the 4-bit terminator fill whole bytes (the count is 8 or 16 bits).
+    cc = char_count_bits(version)
+    segment = ((0b0100 << cc | len(data)) << 8 * len(data) | int.from_bytes(data, "big")) << 4
+    codewords = list(segment.to_bytes(len(data) + cc // 8 + 1, "big"))
     pad = [PAD_BYTES[i % 2] for i in range(pad_count)]
     if pad_override is not None:
         if len(pad_override) > pad_count:
@@ -469,7 +471,7 @@ def _data_cells(version: int, mask: int) -> tuple[tuple[int, int, bool], ...]:
 
 def _place_codewords(modules: list[list[bool]], codewords: list[int], version: int, mask: int) -> None:
     cells = _data_cells(version, mask)
-    bits = bytes_to_bits(bytes(codewords))
+    bits = np.unpackbits(np.frombuffer(bytes(codewords), np.uint8)).tolist()
     bits += [0] * (len(cells) - len(bits))  # remainder bits
     for (x, y, flip), bit in zip(cells, bits):
         modules[y][x] = (bit == 1) ^ flip
@@ -532,8 +534,8 @@ def read_codewords(m: QrMatrix) -> tuple[list[int], str]:
     """Unmask and read the interleaved codewords; returns (codewords, level)."""
     level, mask = read_format(m)
     cells = _data_cells(m.version, mask)[: TOTAL_CODEWORDS[m.version] * 8]
-    bits = [int(m.modules[y][x]) ^ flip for x, y, flip in cells]
-    return list(bits_to_bytes(bits)), level
+    bits = [m.modules[y][x] ^ flip for x, y, flip in cells]
+    return np.packbits(bits).tolist(), level
 
 
 def decode_data_codewords(m: QrMatrix) -> tuple[list[int], str]:
@@ -544,22 +546,19 @@ def decode_data_codewords(m: QrMatrix) -> tuple[list[int], str]:
 
 def parse_byte_segment(data_codewords: list[int], version: int) -> tuple[bytes, int]:
     """Parse the byte-mode segment; returns (text, pad_region_start_index)."""
-    bits = bytes_to_bits(bytes(data_codewords))
-    mode = bits_to_int(bits[0:4])
+    data = bytes(data_codewords)
+    mode = data[0] >> 4 if data else 0
     if mode == 0:
         return b"", (4 + 7) // 8  # terminator-only symbol
     if mode != 0b0100:
         raise MalformedInput(f"unsupported segment mode {mode:04b}")
-    cc = char_count_bits(version)
-    count = bits_to_int(bits[4 : 4 + cc])
-    start = 4 + cc
-    if start + 8 * count > len(bits):
+    # Past the 4-bit mode the count and payload sit half a byte off; shift them back.
+    aligned = (int.from_bytes(data, "big") << 4).to_bytes(len(data) + 1, "big")[1:]
+    head = char_count_bits(version) // 8
+    count = int.from_bytes(aligned[:head], "big")
+    if head + count >= len(data):  # the 4-bit terminator needs half of one more byte
         raise MalformedInput("segment length exceeds symbol capacity")
-    text = bits_to_bytes(bits[start : start + 8 * count])
-    used = start + 8 * count
-    term = min(4, len(bits) - used)
-    pad_start = (used + term + 7) // 8
-    return text, pad_start
+    return aligned[head : head + count], head + count + 1
 
 
 def qr_decode(m: QrMatrix) -> bytes:

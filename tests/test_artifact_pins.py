@@ -4,10 +4,12 @@ recorded values.
 Drift in the QR interleave or data-cell order, the Hamming(7,4) tables, the
 FAT16 boot sector (16-bit and 32-bit total-sectors forms), entry and
 hidden-payload layout, or the OOK/BFSK transmitter's samples changes a hash
-here.
+here.  A last test pins the Python types at the API boundary, which callers
+serialise as JSON.
 """
 
 import hashlib
+import json
 import random
 
 import pytest
@@ -16,8 +18,16 @@ from airgaplab.channel import lookup
 from airgaplab.harness import waveform_modem_config
 from airgaplab.keyframe import bits_to_text, frame_encode
 from airgaplab.mediahide import add_file, create_image, hide_entry, hide_slack
-from airgaplab.modem import bfsk_modulate, ook_modulate, write_wav
-from airgaplab.optstego import stego_embed, to_pbm
+from airgaplab.modem import (
+    bfsk_demodulate,
+    bfsk_modulate,
+    ook_demodulate,
+    ook_modulate,
+    trace_demodulate,
+    trace_modulate,
+    write_wav,
+)
+from airgaplab.optstego import GrayImage, from_pbm, invisible_embed, invisible_extract, qr_encode, stego_embed, to_pbm
 from airgaplab.optstego.qr import byte_mode_capacity
 
 QR_V3_TO_V10_SHA256 = "3012eb9416a1ffb01914157c17bbcc6d8caaf2ad749fbfa246e5b0a62772d097"
@@ -79,3 +89,22 @@ def test_transmitted_frame_keeps_its_wav_bytes(preset, tmp_path):
     path = tmp_path / "tx.wav"
     write_wav(str(path), modulate(frame_encode(bytes(range(32))), cfg))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == TRANSMIT_WAV_SHA256[preset]
+
+
+def test_results_are_python_values():
+    """Bits are a list of int and QR modules are bool, never numpy scalars."""
+    bits = frame_encode(bytes(range(32)))
+    results = {"frame_encode": bits, "trace_demodulate": trace_demodulate(trace_modulate(bits, 5, 5), 5, 5)}
+    for preset, demodulate in (("airhopper", ook_demodulate), ("ultrasonic", bfsk_demodulate)):
+        cfg = waveform_modem_config(lookup(preset))
+        modulate = bfsk_modulate if cfg.scheme == "bfsk" else ook_modulate
+        results[demodulate.__name__] = demodulate(modulate(bits, cfg), cfg)
+    for name, got in results.items():
+        assert type(got) is list and {type(b) for b in got} == {int}, name
+        assert got == bits, name
+    symbol = qr_encode(b"cold wallet")
+    matrices = [symbol, stego_embed(b"cold wallet", bytes(32), "M"), from_pbm(to_pbm(symbol)),
+                invisible_extract(invisible_embed(GrayImage.uniform(100, 100), symbol), symbol.version)]
+    for m in matrices:
+        assert {type(cell) for row in m.modules for cell in row} == {bool}
+    json.dumps([results, [m.modules for m in matrices]])

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from airgaplab.errors import CrcMismatch, EmptyPayload, LengthOutOfRange, PayloadTooLong, SyncNotFound
+from airgaplab.errors import (
+    CrcMismatch,
+    EmptyPayload,
+    LengthOutOfRange,
+    MalformedInput,
+    PayloadTooLong,
+    SyncNotFound,
+)
 from airgaplab.keyframe import (
     Frame,
     HEADER_BITS,
@@ -14,8 +21,6 @@ from airgaplab.keyframe import (
     PREAMBLE,
     SYNC_PATTERN,
     SYNC_WORD,
-    PrivateKey,
-    bits_to_int,
     bits_to_text,
     crc16,
     decode_body,
@@ -25,9 +30,21 @@ from airgaplab.keyframe import (
     frame_encode,
     hamming74_decode,
     hamming74_encode,
-    int_to_bits,
     text_to_bits,
 )
+
+
+def int_to_bits(value: int, width: int) -> list[int]:
+    """Oracle: the `width` low bits of `value`, MSB first."""
+    return [(value >> (width - 1 - i)) & 1 for i in range(width)]
+
+
+def bits_to_int(bits: list[int]) -> int:
+    """Oracle: an MSB-first bit list read as an unsigned integer."""
+    value = 0
+    for b in bits:
+        value = (value << 1) | b
+    return value
 
 
 def crc16_longdivision(data: bytes) -> int:
@@ -135,7 +152,25 @@ class TestFrameEncode:
             frame_encode(bytes(256))
 
 
+@st.composite
+def hostile_bitstreams(draw):
+    """0/1 lists of length 0..800, about half with the frame header planted."""
+    bits = draw(st.lists(st.integers(0, 1), max_size=800))
+    if len(bits) >= HEADER_BITS and draw(st.booleans()):
+        at = draw(st.integers(0, len(bits) - HEADER_BITS))
+        bits[at : at + HEADER_BITS] = HEADER_PATTERN
+    return bits
+
+
 class TestFrameDecode:
+    @given(bits=hostile_bitstreams())
+    def test_arbitrary_bits_raise_only_frame_errors(self, bits):
+        try:
+            payload = frame_decode(bits)
+        except (SyncNotFound, LengthOutOfRange, CrcMismatch):
+            return
+        assert 1 <= len(payload) <= 255
+
     def test_round_trip_100_random_payloads(self):
         rng = random.Random(11)
         for _ in range(100):
@@ -222,17 +257,6 @@ class TestFrameDecode:
         assert misses == 0
 
 
-class TestPrivateKey:
-    def test_requires_exactly_32_bytes(self):
-        with pytest.raises(ValueError):
-            PrivateKey(bytes(31))
-        assert PrivateKey(bytes(32)).data == bytes(32)
-
-    def test_hex_round_trip(self):
-        key = PrivateKey.generate()
-        assert PrivateKey.from_hex(key.hex()) == key
-
-
 class TestFrame:
     def test_for_payload_computes_checksum(self):
         frame = Frame.for_payload(b"abc")
@@ -260,6 +284,14 @@ class TestBitstreamText:
     def test_rejects_foreign_characters(self):
         with pytest.raises(ValueError):
             text_to_bits("0101x01")
+
+    @given(text=st.text(st.one_of(st.sampled_from("01 \n\t"), st.characters())))
+    def test_arbitrary_text_raises_only_malformed_input(self, text):
+        try:
+            bits = text_to_bits(text)
+        except MalformedInput:
+            return
+        assert set(bits) <= {0, 1} and len(bits) <= len(text)
 
 
 def brute_force_header_search(bits, pattern, max_mismatch):

@@ -1,7 +1,9 @@
 """Modem tests: OOK/BFSK waveforms, event traces, WAV and CSV round trips."""
 
+import io
 import math
 import random
+import tempfile
 import wave
 from fractions import Fraction
 from pathlib import Path
@@ -359,7 +361,7 @@ class TestEventTraces:
         rng = random.Random(7)
         bits = random_bits(rng, 200)
         trace = trace_modulate(bits, 30, 70)
-        assert trace.total_ms() == pytest.approx(len(bits) * 100.0)
+        assert sum(d for _, d in trace.events) == pytest.approx(len(bits) * 100.0)
 
     def test_round_trip_random_bits(self):
         rng = random.Random(8)
@@ -386,14 +388,31 @@ class TestEventTraces:
         with pytest.raises(EmptyTrace):
             trace_demodulate(EventTrace([]), 50, 50)
 
-    def test_normalized_merges_adjacent_states(self):
-        trace = EventTrace([("off", 10.0), ("off", 20.0), ("on", 5.0), ("off", 0.0), ("on", 5.0)])
-        assert trace.normalized().events == [("off", 30.0), ("on", 10.0)]
-
     def test_normalized_trace_still_decodes_when_runs_are_short(self):
         bits = [1, 0, 1, 1, 0, 1, 0, 0, 1, 1]
-        trace = trace_modulate(bits, 50, 50).normalized()
+        # trace_modulate(bits, 50, 50) with each run of equal states merged into one event
+        trace = EventTrace([("on", 50.0), ("off", 150.0), ("on", 50.0), ("off", 50.0), ("on", 50.0),
+                            ("off", 150.0), ("on", 50.0), ("off", 250.0), ("on", 50.0), ("off", 50.0),
+                            ("on", 50.0), ("off", 50.0)])
         assert trace_demodulate(trace, 50, 50) == bits
+
+
+@st.composite
+def hostile_wavs(draw):
+    """A 1000-sample write_wav output with up to four header bytes replaced,
+    then cut anywhere or left whole."""
+    clean = io.BytesIO()
+    write_wav(clean, Waveform(8000, np.zeros(1000)))
+    data = bytearray(clean.getvalue())
+    for _ in range(draw(st.integers(0, 4))):
+        data[draw(st.integers(0, 43))] = draw(st.integers(0, 255))
+    return bytes(data[: draw(st.one_of(st.just(len(data)), st.integers(0, len(data))))])
+
+
+def hostile_trace_csvs():
+    """Arbitrary bytes, mixed with the fragments a trace CSV is made of."""
+    fragments = [b"state,duration_ms", b"on", b"off", b",", b"\n", b"\r", b'"', b"12.5", b"-1", b"nan", b"\xff"]
+    return st.lists(st.one_of(st.sampled_from(fragments), st.binary(max_size=4)), max_size=30).map(b"".join)
 
 
 class TestFileFormats:
@@ -430,6 +449,9 @@ class TestFileFormats:
         full = tmp_path / "full.wav"
         write_wav(str(full), Waveform(8000, np.zeros(1000)))
         cuts = [("header-only.wav", full.read_bytes()[:44]), ("short-data.wav", full.read_bytes()[:544])]
+        long_fmt = bytearray(full.read_bytes())
+        long_fmt[16:20] = (4000).to_bytes(4, "little")  # fmt chunk runs past the end of the file
+        cuts.append(("long-fmt.wav", bytes(long_fmt)))
         for name, data in [("garbage.wav", b"not a wav!"), ("cut.wav", good.read_bytes()[:30])] + cuts:
             path = tmp_path / name
             path.write_bytes(data)
@@ -472,10 +494,36 @@ class TestFileFormats:
             "on\n",  # short first row, no header
             "state,duration_ms\non,12.5\noff,soon\n",  # non-numeric duration
             "state,duration_ms\non,nan\n",  # non-finite duration
+            "state,duration_ms\non,-5\n",  # negative duration
+            "state,duration_ms\nblink,5\n",  # state neither on nor off
+            b"state,duration_ms\non,5\xff\n",  # not UTF-8
         ],
     )
     def test_trace_csv_rejects_malformed_rows(self, tmp_path, text):
         path = tmp_path / "bad.csv"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         with pytest.raises(MalformedInput):
             read_trace_csv(str(path))
+
+    @settings(deadline=None)
+    @given(data=hostile_wavs())
+    def test_wav_reader_raises_only_malformed_input(self, data):
+        with tempfile.TemporaryDirectory() as tmp:  # a fresh file per example
+            path = Path(tmp) / "x.wav"
+            path.write_bytes(data)
+            try:
+                read_wav(str(path))
+            except MalformedInput:
+                pass
+
+    @settings(deadline=None)
+    @given(data=hostile_trace_csvs())
+    def test_trace_csv_reader_raises_only_malformed_input(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "x.csv"
+            path.write_bytes(data)
+            try:
+                trace = read_trace_csv(str(path))
+            except MalformedInput:
+                return
+            assert all(state in ("on", "off") and d >= 0 for state, d in trace.events)

@@ -15,7 +15,9 @@ from airgaplab.optstego.qr import (
     NUM_BLOCKS,
     TOTAL_CODEWORDS,
     QrMatrix,
+    assemble_data_codewords,
     byte_mode_capacity,
+    char_count_bits,
     data_codeword_count,
     format_code,
     function_mask,
@@ -23,6 +25,7 @@ from airgaplab.optstego.qr import (
     gf_poly_eval,
     matrix_from_data_codewords,
     matrix_from_modules,
+    parse_byte_segment,
     rs_correct,
     rs_encode,
     rs_generator,
@@ -350,3 +353,58 @@ def test_readers_raise_only_airgap_errors_on_arbitrary_data_codewords(drawn):
             reader(m)
         except AirgapError:
             pass
+
+
+def _bits(value: int, width: int) -> list[int]:
+    return [(value >> (width - 1 - i)) & 1 for i in range(width)]
+
+
+def _value(bits: list[int]) -> int:
+    value = 0
+    for b in bits:
+        value = (value << 1) | b
+    return value
+
+
+def _reference_parse(data_codewords: list[int], version: int) -> tuple[bytes, int]:
+    """Reference: the byte-mode segment read one bit at a time."""
+    bits = [b for c in data_codewords for b in _bits(c, 8)]
+    if _value(bits[0:4]) == 0:
+        return b"", 1
+    if _value(bits[0:4]) != 0b0100:
+        raise MalformedInput("mode")
+    cc = char_count_bits(version)
+    count = _value(bits[4 : 4 + cc])
+    used = 4 + cc + 8 * count
+    if used > len(bits):
+        raise MalformedInput("length")
+    text = bytes(_value(bits[i : i + 8]) for i in range(4 + cc, used, 8))
+    return text, (used + min(4, len(bits) - used) + 7) // 8
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    version=st.integers(1, 10),
+    text=st.binary(max_size=60),
+    codewords=st.lists(st.integers(0, 255), max_size=40),
+    mode=st.sampled_from([0, 0b0100, 0b0010]),
+)
+def test_segment_codec_matches_bit_by_bit_reference(version, text, codewords, mode):
+    """Writer and reader of the mode/count/payload/terminator segment agree
+    with a bit-list reference, on valid segments and arbitrary codewords."""
+    if byte_mode_capacity(version, "L") >= len(text):
+        cc = char_count_bits(version)
+        bits = _bits(0b0100, 4) + _bits(len(text), cc) + [b for c in text for b in _bits(c, 8)] + [0] * 4
+        want = [_value(bits[i : i + 8]) for i in range(0, len(bits), 8)]
+        assembled = assemble_data_codewords(text, version, "L")
+        assert assembled[: len(want)] == want
+        assert parse_byte_segment(assembled, version) == _reference_parse(assembled, version)
+    if codewords:
+        codewords[0] = mode << 4 | codewords[0] & 0x0F
+    try:
+        want = _reference_parse(codewords, version)
+    except MalformedInput:
+        with pytest.raises(MalformedInput):
+            parse_byte_segment(codewords, version)
+    else:
+        assert parse_byte_segment(codewords, version) == want
