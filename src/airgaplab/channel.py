@@ -140,24 +140,43 @@ def apply_waveform_channel(
 
     Noise variance is calibrated against the mean power of the active burst
     of the (filtered) signal so the requested SNR is what a receiver
-    actually measures.  An infinite SNR with no passband is the identity.
+    actually measures.  An infinite SNR with no passband is the identity;
+    a NaN or -inf SNR, or one so low that its power ratio underflows to
+    zero, raises ValueError before any noise is drawn.  With a passband,
+    one worker thread draws the unit-variance noise while this thread
+    filters.  numpy's normal(0, s) is 0 + s*z over the same standard
+    normal stream, so the samples are those of normal(0, s, n) + filtered
+    either way.
     """
     if preset.kind != WAVEFORM:
         raise ValueError(f"preset {preset.name!r} is not a waveform channel")
     if snr_db is None:
         snr_db = preset.snr_db
-    if math.isinf(snr_db) and snr_db > 0 and preset.band is None:
-        return Waveform(w.sample_rate, w.samples.copy())
-    out = w.samples
-    if preset.band is not None:
-        out = _bandpass(out, preset.band, w.sample_rate)
-    if not (math.isinf(snr_db) and snr_db > 0):
+    try:
+        snr_ratio = 10.0 ** (snr_db / 10.0)
+    except OverflowError:  # finite but above ~3082 dB: the noise scales to zero
+        snr_ratio = math.inf
+    if not snr_ratio > 0.0:
+        raise ValueError(f"SNR must be +inf or a number of dB above about -3200, not {snr_db}")
+    if preset.band is None:
+        if math.isinf(snr_db):
+            return Waveform(w.sample_rate, w.samples.copy())
+        out = w.samples
         power = _burst_power(out)
-        noise_var = power / (10.0 ** (snr_db / 10.0))
-        noise = _rng(seed).normal(0.0, math.sqrt(noise_var), len(out))
-        noise += out
-        out = noise
-    return Waveform(w.sample_rate, out)
+        noise = _rng(seed).standard_normal(len(out))
+    elif math.isinf(snr_db):
+        return Waveform(w.sample_rate, _bandpass(w.samples, preset.band, w.sample_rate))
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # here: only banded presets pay its import
+
+        with ThreadPoolExecutor(1) as pool:
+            draw = pool.submit(_rng(seed).standard_normal, len(w.samples))
+            out = _bandpass(w.samples, preset.band, w.sample_rate)
+            power = _burst_power(out)
+            noise = draw.result()
+    noise *= math.sqrt(power / snr_ratio)
+    noise += out
+    return Waveform(w.sample_rate, noise)
 
 
 def apply_trace_channel(t: EventTrace, preset: ChannelPreset, seed: int = 0) -> EventTrace:

@@ -60,7 +60,10 @@ def _cmd_exfil(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         f0=args.f0,
         f1=args.f1,
     )
-    result = harness.run_scenario(cfg)
+    try:
+        result = harness.run_scenario(cfg)
+    except ValueError as exc:
+        parser.error(str(exc))
     report = result.report
     if args.wav:
         if not isinstance(result.received, modem.Waveform):

@@ -9,6 +9,7 @@ time budgets for a framed 256-bit key.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,6 +198,8 @@ def sweep(
 ) -> list[RunReport]:
     """Grid of runs over SNR x trial; row order is (snr, trial) regardless
     of execution order, and trial t uses seed base_seed + t."""
+    if not all(map(math.isfinite, (snr_start, snr_end, snr_step))):
+        raise ValueError("SNR start, end and step must be finite")
     if snr_step <= 0:
         raise ValueError("snr_step must be positive")
     if trials < 1:
@@ -204,7 +207,10 @@ def sweep(
     preset = chan.lookup(channel_name)
     if preset.kind != chan.WAVEFORM:
         raise ValueError("sweep varies SNR and therefore needs a waveform preset")
-    count = int(round((snr_end - snr_start) / snr_step)) + 1
+    steps = (snr_end - snr_start) / snr_step
+    if not math.isfinite(steps):
+        raise ValueError("SNR range has too many steps")
+    count = int(round(steps)) + 1
     if count < 1:
         raise ValueError("empty SNR range")
     reports = []

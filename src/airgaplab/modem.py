@@ -149,10 +149,11 @@ class _ToneBank:
     """Single-bin (DFT-bin / Goertzel) correlators over every symbol window.
 
     A window's energy |sum x[n] exp(-j w n)|^2 does not depend on where n
-    starts counting, so each window, as a row of samples, meets one small
-    (width x 2*tones) cos/sin table.  The samples are zero-padded by more
-    than any timing offset (`_propose_offset` reaches 4*round(sps/4) <=
-    sps + 2), so a window past either end reads zeros, as if clipped.
+    starts counting, so each window, as a row of samples, is dotted with
+    every row of one small (2*tones x width) cos/sin table.  The samples
+    are zero-padded by more than any timing offset (`_propose_offset`
+    reaches 4*round(sps/4) <= sps + 2), so a window past either end reads
+    zeros, as if clipped.
     """
 
     def __init__(self, samples: np.ndarray, cfg: ModemConfig):
@@ -161,8 +162,8 @@ class _ToneBank:
         self.pad = self.width + 2
         zeros = np.zeros(self.pad + self.width)
         self._rows = sliding_window_view(np.concatenate((zeros[: self.pad], samples, zeros)), self.width)
-        angles = np.outer(np.arange(self.width), 2.0 * np.pi * np.asarray(cfg.tones()) / cfg.sample_rate)
-        self._table = np.hstack((np.cos(angles), np.sin(angles)))
+        angles = np.outer(2.0 * np.pi * np.asarray(cfg.tones()) / cfg.sample_rate, np.arange(self.width))
+        self._table = np.vstack((np.cos(angles), np.sin(angles)))
 
     def soft_symbols(self, offset: int, n_symbols: int) -> np.ndarray:
         """Per-symbol decision statistic at a given sample offset.
@@ -174,7 +175,11 @@ class _ToneBank:
         bounds = _symbol_boundaries(n_symbols, self.cfg) + offset
         windows = self._rows[bounds[:-1] + self.pad]
         windows[np.diff(bounds) < self.width, -1] = 0.0  # floor(sps)-long windows
-        proj = windows @ self._table
+        # Per-window dot products, not a threaded windows @ table GEMM: after
+        # the GEMM, OpenBLAS workers hold the second CPU that the channel's
+        # noise thread needs, and drawing the noise beside the filter gains
+        # nothing.
+        proj = np.vecdot(windows[:, None, :], self._table)
         energies = (proj.reshape(len(proj), 2, -1) ** 2).sum(axis=1)  # cos^2 + sin^2 per tone
         if self.cfg.scheme == "ook":
             return energies[:, 0]

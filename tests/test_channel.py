@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +20,7 @@ from airgaplab.channel import (
     preset_catalog,
     _bandpass,
     _burst_power,
+    _rng,
 )
 from airgaplab.modem import EventTrace, ModemConfig, Waveform, bfsk_modulate, trace_modulate
 
@@ -133,6 +136,71 @@ class TestWaveformChannel:
         a = apply_waveform_channel(w, lookup(preset), snr_db=10, seed=-1)
         b = apply_waveform_channel(w, lookup(preset), snr_db=10, seed=2**64 - 1)
         assert np.array_equal(a.samples, b.samples)
+
+
+def normal_oracle(w, preset, snr_db, seed):
+    """The channel as one numpy normal() draw added to the filtered signal."""
+    out = w.samples if preset.band is None else _bandpass(w.samples, preset.band, w.sample_rate)
+    scale = math.sqrt(_burst_power(out) / 10.0 ** (snr_db / 10.0))
+    return _rng(seed).normal(0.0, scale, len(out)) + out
+
+
+class TestNoiseStream:
+    @pytest.fixture(scope="class")
+    def frame(self):
+        rng = random.Random(8)
+        return bfsk_modulate([rng.getrandbits(1) for _ in range(40)], BFSK)
+
+    @pytest.mark.parametrize("seed", [0, 7, -1])
+    @pytest.mark.parametrize("snr_db", [-10.0, 0.0, 30.0])
+    @pytest.mark.parametrize("preset", ["ultrasonic", "radiot"])
+    def test_equals_normal_draw_plus_signal(self, frame, preset, snr_db, seed):
+        got = apply_waveform_channel(frame, lookup(preset), snr_db=snr_db, seed=seed)
+        assert np.array_equal(got.samples, normal_oracle(frame, lookup(preset), snr_db, seed))
+
+    def test_concurrent_calls_match_sequential(self, frame):
+        preset, seeds = lookup("ultrasonic"), [11, 12, 13, 14]
+        want = {s: apply_waveform_channel(frame, preset, snr_db=5.0, seed=s).samples for s in seeds}
+        got, errors = {}, []
+
+        def work(seed):
+            try:
+                for _ in range(3):
+                    got.setdefault(seed, []).append(apply_waveform_channel(frame, preset, snr_db=5.0, seed=seed).samples)
+            except Exception as exc:  # reported below: a thread's exception is otherwise lost
+                errors.append(exc)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(s,)) for s in seeds]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert errors == []
+        for s in seeds:
+            assert len(got[s]) == 3
+            assert all(np.array_equal(samples, want[s]) for samples in got[s])
+
+
+class TestHostileSnr:
+    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf, -4000.0])
+    @pytest.mark.parametrize("preset", ["ultrasonic", "radiot"])
+    def test_unusable_snr_rejected(self, preset, snr_db):
+        w = bfsk_modulate([1, 0, 1, 1], BFSK)
+        with pytest.raises(ValueError, match="SNR"):
+            apply_waveform_channel(w, lookup(preset), snr_db=snr_db, seed=7)
+
+    @pytest.mark.parametrize("preset", ["ultrasonic", "radiot"])
+    def test_snr_past_float_range_adds_no_noise(self, preset):
+        w = bfsk_modulate([1, 0, 1, 1], BFSK)
+        clean = apply_waveform_channel(w, lookup(preset), snr_db=math.inf, seed=7)
+        loud = apply_waveform_channel(w, lookup(preset), snr_db=4000.0, seed=7)
+        assert np.array_equal(loud.samples, clean.samples)
 
 
 def nonzero_burst_power(samples):

@@ -79,8 +79,23 @@ class TestExfil:
         with open(path) as fh:
             assert fh.readline().strip() == "state,duration_ms"
 
+    @pytest.mark.parametrize("snr", ["-inf", "nan"])
+    def test_unusable_snr_usage_error(self, capsys, tmp_path, snr):
+        wav = tmp_path / "rx.wav"
+        with pytest.raises(SystemExit) as exc:
+            main(["exfil", "--channel", "radiot", "--random", "--seed", "7", f"--snr={snr}", "--wav", str(wav)])
+        assert exc.value.code == 2
+        assert "SNR" in capsys.readouterr().err
+        assert not wav.exists()
+
 
 class TestSweep:
+    def test_non_finite_snr_usage_error(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--channel", "radiot", "--snr-from", "0", "--snr-to", "inf", "--step", "1",
+                  "--out", str(tmp_path / "sweep.csv")])
+        assert exc.value.code == 2
+
     def test_rows_and_exit(self, capsys, tmp_path):
         path = str(tmp_path / "sweep.csv")
         code, out, _ = run_cli(
@@ -283,11 +298,16 @@ from airgaplab.cli import main
 codes = [main(["presets"]), main(["table4"]), main(["usb", "create", "--image", {image!r}, "--size-mib", "4"]),
          main(["exfil", "--channel", "radiot", "--seed", "1"])]
 print(codes, "scipy.signal" in sys.modules)
+print("futures", "concurrent.futures" in sys.modules)
 codes.append(main(["exfil", "--channel", "ultrasonic", "--seed", "1"]))
 print(codes, "scipy.signal" in sys.modules)
+print("futures", "concurrent.futures" in sys.modules)
 """
         src = str(Path(airgaplab.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
         verdicts = [line for line in result.stdout.splitlines() if line.startswith("[")]
         assert verdicts == ["[0, 0, 0, 0] False", "[0, 0, 0, 0, 0] True"]
+        # The banded channel's noise thread: no executor module before it.
+        futures = [line for line in result.stdout.splitlines() if line.startswith("futures ")]
+        assert futures == ["futures False", "futures True"]

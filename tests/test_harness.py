@@ -1,5 +1,6 @@
 """Scenario-runner tests: airtime arithmetic, end-to-end runs, sweeps, budgets."""
 
+import math
 import random
 
 import pytest
@@ -152,6 +153,19 @@ class TestSweep:
     def test_step_validation(self):
         with pytest.raises(ValueError):
             sweep("radiot", 0, 10, 0, trials=1)
+
+    @pytest.mark.parametrize(
+        "start, end, step",
+        [(0, math.inf, 1), (-math.inf, 0, 1), (0, 10, math.inf), (math.nan, 10, 1), (0, math.nan, 1), (0, 10, math.nan)],
+    )
+    def test_non_finite_range_rejected(self, start, end, step):
+        with pytest.raises(ValueError, match="finite"):
+            sweep("radiot", start, end, step, trials=1)
+
+    @pytest.mark.parametrize("start, end, step", [(0, 1e300, 1e-300), (-1e308, 1e308, 1)])
+    def test_step_count_past_float_range_rejected(self, start, end, step):
+        with pytest.raises(ValueError, match="too many steps"):
+            sweep("radiot", start, end, step, trials=1)
 
 
 class TestTable4:
