@@ -82,9 +82,13 @@ _NAME_CHARS = set("ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789!#$%&'()-@^_`{}~")
 
 @dataclass
 class FatImage:
-    """A raw FAT16 volume plus its parsed geometry."""
+    """A raw FAT16 volume plus its parsed geometry.
 
-    data: bytearray
+    `data` is a fixed-length writable memoryview; `create_image` backs it with
+    `np.zeros`, so a fresh image costs only the pages it writes.
+    """
+
+    data: memoryview
     total_sectors: int = field(init=False)
     fat_sectors: int = field(init=False)
     cluster_count: int = field(init=False)
@@ -148,8 +152,11 @@ class FatImage:
     def fat_set(self, cluster: int, value: int) -> None:
         self.fats[:, cluster] = value
 
+    def _free(self) -> np.ndarray:
+        return np.flatnonzero(self.fats[0, 2 : self.cluster_count + 2] == FAT_FREE) + 2
+
     def free_clusters(self) -> list[int]:
-        return (np.flatnonzero(self.fats[0, 2 : self.cluster_count + 2] == FAT_FREE) + 2).tolist()
+        return self._free().tolist()
 
     def chain(self, first: int) -> list[int]:
         out = []
@@ -182,7 +189,7 @@ def create_image(total_size: int) -> FatImage:
             break
         fat_sectors = needed
 
-    img = bytearray(total_size)
+    img = np.zeros(total_size, np.uint8).data
     small = total_sectors < 0x10000  # else the 32-bit total-sectors field holds it
     _BOOT.pack_into(
         img, 0, b"\xEB\x3C\x90", b"MSDOS5.0", BYTES_PER_SECTOR, SECTORS_PER_CLUSTER,
@@ -199,7 +206,7 @@ def create_image(total_size: int) -> FatImage:
 
 
 def load_image(raw: bytes) -> FatImage:
-    return FatImage(bytearray(raw))
+    return FatImage(memoryview(bytearray(raw)))
 
 
 def name_to_83(name: str) -> bytes:
@@ -275,11 +282,11 @@ def add_file(img: FatImage, name: str, contents: bytes, attr: int = ATTR_ARCHIVE
         _find_entry(img, name)
         raise DuplicateName(f"{name!r} already exists")
     needed = -(-len(contents) // CLUSTER_BYTES)
-    free = img.free_clusters()
+    free = img._free()
     if len(free) < needed:
         raise DiskFull(f"{needed} clusters needed, {len(free)} free")
     slot = _free_root_slot(img)
-    clusters = free[:needed]
+    clusters = free[:needed].tolist()
     for i, cluster in enumerate(clusters):
         img.fat_set(cluster, clusters[i + 1] if i + 1 < needed else FAT_EOC)
         start = img.cluster_offset(cluster)

@@ -134,7 +134,7 @@ def from_pgm(text: str) -> GrayImage:
     values = raster[: width * height]
     if len(values) < width * height:
         raise MalformedInput("PGM pixel data truncated")
-    if not all(v.isdecimal() and int(v) <= 255 for v in values):
+    if not all(v.isascii() and v.isdecimal() and int(v) <= 255 for v in values):
         raise MalformedInput("PGM pixels must be integers in 0..255")
     pixels = np.array([int(v) for v in values], dtype=np.uint8).reshape(height, width)
     return GrayImage(width, height, pixels)

@@ -596,8 +596,8 @@ def read_netpbm(text: str, magic: str, n_fields: int) -> tuple[list[int], list[s
     """Split an ASCII netpbm file into its header integers and raster tokens.
 
     Comments run from '#' to the end of the line.  A wrong magic number or
-    a header with fewer than `n_fields` non-negative integers raises
-    MalformedInput.
+    a header with fewer than `n_fields` non-negative integers (ASCII digits
+    only) raises MalformedInput.
     """
     tokens: list[str] = []
     for line in text.splitlines():
@@ -605,7 +605,7 @@ def read_netpbm(text: str, magic: str, n_fields: int) -> tuple[list[int], list[s
     if not tokens or tokens[0] != magic:
         raise MalformedInput(f"not an ASCII netpbm ({magic}) file")
     fields = tokens[1 : 1 + n_fields]
-    if len(fields) < n_fields or not all(f.isdecimal() for f in fields):
+    if len(fields) < n_fields or not all(f.isascii() and f.isdecimal() for f in fields):
         raise MalformedInput(f"{magic} header needs {n_fields} non-negative integers, got {fields}")
     return [int(f) for f in fields], tokens[1 + n_fields :]
 

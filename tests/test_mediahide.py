@@ -23,8 +23,11 @@ from airgaplab.mediahide import (
     ATTR_HIDDEN,
     ATTR_SYSTEM,
     CLUSTER_BYTES,
+    FAT_BAD,
     HIDDEN_ENTRY_NAME,
     NUM_FATS,
+    _extent,
+    _find_entry,
     add_file,
     create_image,
     extract_entry,
@@ -80,6 +83,14 @@ class TestCreateImage:
         assert clone.cluster_count == image.cluster_count
         assert fsck(clone).ok
 
+    def test_fresh_64_mib_image_faults_in_only_the_pages_it_writes(self):
+        resource = pytest.importorskip("resource")
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        img = create_image(64 * MIB)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 1024  # zeroing every byte up front faults in all 16 384 pages
+        assert load_image(bytes(img.data)).data == img.data
+
 
 class TestLoadImage:
     def test_buffer_shorter_than_boot_sector_rejected(self):
@@ -119,6 +130,23 @@ class TestAddAndRead:
         add_file(image, "FILL.BIN", bytes(free * CLUSTER_BYTES))
         assert fsck(image).ok
         with pytest.raises(DiskFull):
+            add_file(image, "MORE.BIN", b"x")
+
+    def test_allocation_takes_lowest_free_clusters_around_bad_ones(self):
+        image = create_image(4 * MIB)
+        cc = image.cluster_count
+        for cluster in (2, 3, 5, 8, 9, 13, 100, cc // 2, cc + 1):
+            image.fat_set(cluster, FAT_BAD)
+        fats = _fat_entries_oracle(bytes(image.data), image)
+        free = [c for c in range(2, cc + 2) if fats[0][c] == 0]
+        add_file(image, "FIVE.BIN", bytes(5 * CLUSTER_BYTES))
+        assert image.chain(_extent(image, _find_entry(image, "FIVE.BIN"))[0]) == free[:5]
+        rest = len(free) - 5
+        with pytest.raises(DiskFull, match=f"^{rest + 1} clusters needed, {rest} free$"):
+            add_file(image, "REST.BIN", bytes((rest + 1) * CLUSTER_BYTES))
+        add_file(image, "REST.BIN", bytes(rest * CLUSTER_BYTES))
+        assert image.chain(_extent(image, _find_entry(image, "REST.BIN"))[0]) == free[5:]
+        with pytest.raises(DiskFull, match="^1 clusters needed, 0 free$"):
             add_file(image, "MORE.BIN", b"x")
 
     def test_duplicate_name_rejected(self, image):
@@ -268,10 +296,6 @@ class TestFsck:
         assert not fsck(image).ok
 
     def test_detects_size_chain_disagreement(self, image):
-        import struct
-
-        from airgaplab.mediahide import _find_entry
-
         add_file(image, "A.BIN", bytes(3000))  # 2 clusters
         entry = _find_entry(image, "A.BIN")
         struct.pack_into("<I", image.data, entry + 28, 9000)  # lie about the size
@@ -280,10 +304,6 @@ class TestFsck:
         assert any("clusters" in f for f in report.findings)
 
     def test_detects_cross_linked_chains(self, image):
-        import struct
-
-        from airgaplab.mediahide import _find_entry
-
         add_file(image, "A.BIN", bytes(3000))
         add_file(image, "B.BIN", bytes(3000))
         a_first = struct.unpack_from("<H", image.data, _find_entry(image, "A.BIN") + 26)[0]

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from airgaplab.errors import (
+    AirgapError,
     CarrierTooSmall,
     MalformedFormatInfo,
     MalformedInput,
@@ -252,8 +253,33 @@ class TestPgm:
             "P2\n2 2\n255\n0 0 0 256\n",  # value above 255
             "P2\n2 2\n255\n0 0 0 -1\n",  # negative value
             "P2\n2 2\n255\n0 0 0 1.5\n",  # non-integer value
+            "P2\n2 2\n255\n0 0 0 \u0663",  # Arabic-Indic digit 3
+            "P2\n\uff12 2\n255\n0 0 0 0\n",  # fullwidth digit 2
         ],
     )
     def test_rejects_malformed(self, text):
         with pytest.raises(MalformedInput):
             from_pgm(text)
+
+
+_PGM_SOUP = st.one_of(
+    st.integers(-3, 300).map(str),
+    st.sampled_from(["#", "# note\n", "\n", "\u0663", "\uff12", "\u0662\u0665\u0665"]),
+    st.text(max_size=4),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    dims=st.lists(st.one_of(st.integers(0, 4).map(str), _PGM_SOUP), min_size=2, max_size=2),
+    maxval=st.one_of(st.just("255"), _PGM_SOUP),
+    raster=st.lists(st.one_of(st.integers(0, 255).map(str), _PGM_SOUP), max_size=20),
+)
+def test_from_pgm_returns_matching_shape_or_raises_airgap_error(dims, maxval, raster):
+    """Token soup after the magic number: a well-shaped image or an AirgapError, nothing else."""
+    try:
+        img = from_pgm(" ".join(["P2", *dims, maxval, *raster]))
+    except AirgapError:
+        return
+    assert isinstance(img, GrayImage)
+    assert img.pixels.shape == (img.height, img.width)

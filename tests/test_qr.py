@@ -327,6 +327,7 @@ class TestPbm:
             "P1\n2 2\n0 1 2 0\n",  # pixel other than 0/1
             "P1\n21 22\n" + "0 " * 21 * 22,  # not square
             "P1\n20 20\n" + "0 " * 400,  # no QR version has side 20
+            "P1\n\u0662\u0661 \u0662\u0661\n" + "0 " * 441,  # Arabic-Indic digits "21 21"
         ],
     )
     def test_rejects_malformed(self, text):
