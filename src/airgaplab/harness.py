@@ -22,8 +22,6 @@ from .errors import AirgapError
 STAGE_KEY = 0x517CC1B727220A95
 STAGE_NOISE = 0x9E3779B97F4A7C15
 
-KEY_BITS = 8 * keyframe.KEY_BYTES
-
 # Spec'd default near-ultrasonic pair: inaudible on consumer hardware,
 # comfortably below Nyquist at the standard 48 kHz rate.
 ULTRASONIC_SAMPLE_RATE = 48000
@@ -69,7 +67,6 @@ RUN_CSV_HEADER = "preset,snr_db,seed,bits_sent,airtime_s,ber,success,error_kind"
 class RunResult:
     report: RunReport
     key: bytes
-    transmitted: modem.Waveform | modem.EventTrace
     received: modem.Waveform | modem.EventTrace
 
 
@@ -175,7 +172,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         success=success,
         error_kind=error_kind,
     )
-    return RunResult(report, key, tx, rx)
+    return RunResult(report, key, rx)
 
 
 def estimate_time(preset: chan.ChannelPreset | str, payload_bytes: int) -> float:

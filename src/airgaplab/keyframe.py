@@ -16,7 +16,7 @@ correction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import binascii
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -33,23 +33,12 @@ KEY_BYTES = 32
 # channel noise); false-sync probability per offset is 137/65536.
 SYNC_MAX_MISMATCH = 2
 
-CRC_POLY = 0x1021
 CRC_INIT = 0xFFFF
-
-_CRC_TABLE = []
-for _b in range(256):
-    _r = _b << 8
-    for _ in range(8):
-        _r = ((_r << 1) ^ CRC_POLY) & 0xFFFF if _r & 0x8000 else (_r << 1) & 0xFFFF
-    _CRC_TABLE.append(_r)
 
 
 def crc16(data: bytes) -> int:
     """CRC-16/CCITT-FALSE: poly 0x1021, init 0xFFFF, MSB-first, no final XOR."""
-    reg = CRC_INIT
-    for byte in data:
-        reg = ((reg << 8) & 0xFFFF) ^ _CRC_TABLE[(reg >> 8) ^ byte]
-    return reg
+    return binascii.crc_hqx(data, CRC_INIT)
 
 
 def hamming74_encode(nibble: int) -> int:
@@ -97,34 +86,6 @@ for _flip in (0, 1, 2, 4, 8, 16, 32, 64):
     _NIBBLE_OF[np.array(_HAMMING_ENCODE) ^ _flip] = np.arange(16)
 
 
-@dataclass(frozen=True)
-class Frame:
-    """Length-prefixed payload with its checksum, the unit the FEC protects."""
-
-    length: int
-    payload: bytes
-    crc: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.length <= MAX_PAYLOAD:
-            raise LengthOutOfRange(f"length byte {self.length} outside 1..{MAX_PAYLOAD}")
-        if self.length != len(self.payload):
-            raise ValueError(f"length byte {self.length} != payload size {len(self.payload)}")
-        if self.crc != crc16(bytes([self.length]) + self.payload):
-            raise CrcMismatch("frame checksum failed")
-
-    @classmethod
-    def for_payload(cls, payload: bytes) -> "Frame":
-        if len(payload) == 0:
-            raise EmptyPayload("payload must contain at least one byte")
-        if len(payload) > MAX_PAYLOAD:
-            raise PayloadTooLong(f"payload of {len(payload)} bytes exceeds {MAX_PAYLOAD}")
-        return cls(len(payload), payload, crc16(bytes([len(payload)]) + payload))
-
-    def body(self) -> bytes:
-        return bytes([self.length]) + self.payload + self.crc.to_bytes(2, "big")
-
-
 HEADER_PATTERN = np.unpackbits(np.array([PREAMBLE, SYNC_WORD], ">u2").view(np.uint8)).tolist()
 SYNC_PATTERN = HEADER_PATTERN[16:]
 
@@ -139,7 +100,12 @@ def frame_bit_count(payload_len: int) -> int:
 
 def frame_encode(payload: bytes) -> list[int]:
     """Frame and FEC-code a payload into a transmit-ready bit list."""
-    body = np.frombuffer(Frame.for_payload(payload).body(), np.uint8)
+    if len(payload) == 0:
+        raise EmptyPayload("payload must contain at least one byte")
+    if len(payload) > MAX_PAYLOAD:
+        raise PayloadTooLong(f"payload of {len(payload)} bytes exceeds {MAX_PAYLOAD}")
+    head = bytes([len(payload)]) + payload
+    body = np.frombuffer(head + crc16(head).to_bytes(2, "big"), np.uint8)
     nibbles = np.column_stack((body >> 4, body & 0x0F))
     return HEADER_PATTERN + _CODEWORD_BITS[nibbles].ravel().tolist()
 
@@ -175,9 +141,9 @@ def _decode_at(bits: list[int], start: int) -> bytes:
     if not 1 <= length <= MAX_PAYLOAD:
         raise LengthOutOfRange(f"length byte {length} outside 1..{MAX_PAYLOAD}")
     body = decode_body(bits, start + 14, length + 2)
-    # Frame construction re-verifies length and checksum consistency.
-    frame = Frame(length, body[:length], int.from_bytes(body[length:], "big"))
-    return frame.payload
+    if crc16(bytes([length]) + body[:length]) != int.from_bytes(body[length:], "big"):
+        raise CrcMismatch("frame checksum failed")
+    return body[:length]
 
 
 def frame_decode(bits: list[int]) -> bytes:

@@ -20,6 +20,9 @@ from .errors import EmptyTrace, MalformedInput, NyquistViolation, SignalTooShort
 from .keyframe import HEADER_PATTERN, find_header
 
 MIN_SAMPLES_PER_SYMBOL = 8
+# Largest (symbols x ceil(samples per symbol)) grid the transmitter builds:
+# 512 MiB of float64 rows, far above the 1.25 M samples of a preset's key frame.
+MAX_TX_SAMPLES = 2**26
 
 # Preamble-based symbol-timing search: offsets up to +/-1 symbol are scored
 # by how preamble-like (alternating) the first decision windows look, but a
@@ -107,6 +110,9 @@ def _synthesize(bits, cfg: ModemConfig) -> Waveform:
     bits = np.asarray(list(bits))
     if not np.all((bits == 0) | (bits == 1)):
         raise ValueError("bits must be 0 or 1")
+    width = math.ceil(cfg.samples_per_symbol)
+    if bits.size * width > MAX_TX_SAMPLES:
+        raise ValueError(f"{bits.size} symbols of {width} samples exceed the {MAX_TX_SAMPLES}-sample limit")
     bits = bits.astype(np.intp)
     # Tone and amplitude of bit 0 and bit 1.  An OOK '0' is the carrier at
     # zero amplitude, so the carrier's phase keeps running through it.
@@ -121,7 +127,6 @@ def _synthesize(bits, cfg: ModemConfig) -> Waveform:
     phase = 2.0 * np.pi * np.remainder(cycles.sum(axis=1), 1.0)
     coef = np.zeros((bits.size, 2, 2))
     coef[np.arange(bits.size), bits] = np.column_stack((np.sin(phase), np.cos(phase)))
-    width = math.ceil(cfg.samples_per_symbol)
     angles = np.outer(2.0 * np.pi * freqs / cfg.sample_rate, np.arange(width))
     table = np.stack((np.cos(angles), np.sin(angles)), axis=1) * gains[:, None, None]
     # einsum, not @: this 4-deep product is memory-bound; threaded BLAS only slows it.
@@ -224,11 +229,8 @@ def _ook_threshold(energies: np.ndarray, cfg: ModemConfig) -> float:
     """
     lo, hi = float(energies.min()), float(energies.max())
     nominal = (cfg.amplitude * cfg.samples_per_symbol / 2.0) ** 2
-    if hi <= 0.0 or hi - lo <= 1e-9 * hi:
-        center = (hi + lo) / 2.0
-        return -1.0 if center > nominal / 4.0 else nominal / 4.0
-    c_lo, c_hi = lo, hi
-    for _ in range(16):
+    c_lo, c_hi = lo, hi  # a degenerate input skips the loop and falls to the collective test
+    for _ in range(16 if hi > 0.0 and hi - lo > 1e-9 * hi else 0):
         mid = (c_lo + c_hi) / 2.0
         low_side = energies[energies <= mid]
         high_side = energies[energies > mid]

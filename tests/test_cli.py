@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -87,6 +88,20 @@ class TestExfil:
         assert exc.value.code == 2
         assert "SNR" in capsys.readouterr().err
         assert not wav.exists()
+
+    @pytest.mark.parametrize("channel, rate", [("ultrasonic", "1e-6"), ("gsmem", "0.001")])
+    def test_oversized_waveform_usage_error(self, capsys, channel, rate):
+        # 358 GiB and 3.9 GiB of transmit rows: refused before any is allocated.
+        tracemalloc.start()
+        try:
+            with pytest.raises(SystemExit) as exc:
+                main(["exfil", "--channel", channel, "--seed", "1", "--symbol-rate", rate])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+        assert peak < 2**22
 
 
 class TestSweep:

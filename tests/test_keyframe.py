@@ -15,7 +15,6 @@ from airgaplab.errors import (
     SyncNotFound,
 )
 from airgaplab.keyframe import (
-    Frame,
     HEADER_BITS,
     HEADER_PATTERN,
     PREAMBLE,
@@ -50,16 +49,17 @@ def bits_to_int(bits: list[int]) -> int:
 def crc16_longdivision(data: bytes) -> int:
     """Independent oracle: textbook mod-2 long division, bit by bit.
 
-    CRC-16/CCITT-FALSE equals the remainder of the message bits (with the
-    first 16 bits inverted, which realizes the 0xFFFF initial register)
-    followed by 16 zero bits, divided by x^16 + x^12 + x^5 + 1.
+    CRC-16/CCITT-FALSE equals the remainder of the message bits followed
+    by 16 zero bits, with the first 16 of those bits inverted (which
+    realizes the 0xFFFF initial register, reaching into the zeros for
+    messages under two bytes), divided by x^16 + x^12 + x^5 + 1.
     """
     bits = []
     for byte in data:
         bits.extend((byte >> (7 - i)) & 1 for i in range(8))
-    for i in range(min(16, len(bits))):
-        bits[i] ^= 1
     bits += [0] * 16
+    for i in range(16):
+        bits[i] ^= 1
     divisor = [(0x1021 >> (15 - j)) & 1 for j in range(16)]  # x^16+x^12+x^5+1 sans top bit
     for i in range(len(bits) - 16):
         if bits[i]:
@@ -81,7 +81,7 @@ class TestCrc16:
 
     def test_matches_long_division_oracle(self):
         rng = random.Random(2024)
-        for length in [2, 3, 9, 16, 35, 64]:
+        for length in [0, 1, 2, 3, 9, 16, 35, 64, 255, 257]:
             data = bytes(rng.randrange(256) for _ in range(length))
             assert crc16(data) == crc16_longdivision(data), data.hex()
 
@@ -257,22 +257,6 @@ class TestFrameDecode:
         assert misses == 0
 
 
-class TestFrame:
-    def test_for_payload_computes_checksum(self):
-        frame = Frame.for_payload(b"abc")
-        assert frame.length == 3
-        assert frame.crc == crc16(b"\x03abc")
-        assert frame.body() == b"\x03abc" + frame.crc.to_bytes(2, "big")
-
-    def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            Frame(2, b"abc", crc16(b"\x02ab"))  # length != payload size
-        with pytest.raises(CrcMismatch):
-            Frame(3, b"abc", 0x1234)
-        with pytest.raises(LengthOutOfRange):
-            Frame(0, b"", 0)
-
-
 class TestBitstreamText:
     def test_round_trip(self):
         bits = frame_encode(b"fixture")
@@ -364,6 +348,5 @@ class TestDecodeBody:
             assert decode_body(bits, start, count) == per_nibble_body_reader(bits, start, count)
 
     def test_clean_body_round_trip(self):
-        payload = b"body"
-        frame = Frame.for_payload(payload)
-        assert decode_body(frame_encode(payload), HEADER_BITS, 7) == frame.body()
+        expected = b"\x04body" + crc16(b"\x04body").to_bytes(2, "big")
+        assert decode_body(frame_encode(b"body"), HEADER_BITS, 7) == expected
