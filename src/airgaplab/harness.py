@@ -75,6 +75,14 @@ def derive_key(seed: int) -> bytes:
     return rng.integers(0, 256, keyframe.KEY_BYTES, dtype=np.uint8).tobytes()
 
 
+def _bit_rate(preset: chan.ChannelPreset, symbol_rate: float | None) -> float:
+    """The symbol rate override, or the preset's nominal bit rate."""
+    rate = symbol_rate if symbol_rate is not None else preset.nominal_bit_rate
+    if not 0.0 < rate < math.inf:
+        raise ValueError(f"symbol rate must be finite and positive, not {rate}")
+    return rate
+
+
 def waveform_modem_config(
     preset: chan.ChannelPreset,
     symbol_rate: float | None = None,
@@ -88,7 +96,7 @@ def waveform_modem_config(
     rate scaled to their bit rate (16 cycles per symbol, >=100 samples per
     symbol), which keeps slow channels cheap to synthesize.
     """
-    rate = symbol_rate if symbol_rate is not None else preset.nominal_bit_rate
+    rate = _bit_rate(preset, symbol_rate)
     if preset.band is not None:
         return modem.ModemConfig(
             scheme="bfsk",
@@ -98,11 +106,10 @@ def waveform_modem_config(
             f1=f1 if f1 is not None else ULTRASONIC_F1,
             amplitude=TX_AMPLITUDE,
         )
-    sample_rate = min(48000, max(1000, int(round(200 * rate))))
     return modem.ModemConfig(
         scheme="ook",
         symbol_rate=rate,
-        sample_rate=sample_rate,
+        sample_rate=int(round(min(48000.0, max(1000.0, 200 * rate)))),
         f_carrier=(f0 if f0 is not None else 16.0 * rate),
         amplitude=TX_AMPLITUDE,
     )
@@ -110,8 +117,7 @@ def waveform_modem_config(
 
 def trace_slot_ms(preset: chan.ChannelPreset, symbol_rate: float | None = None) -> tuple[float, float]:
     """Equal on/off halves of one bit slot at the preset's bit rate."""
-    rate = symbol_rate if symbol_rate is not None else preset.nominal_bit_rate
-    slot = 1000.0 / rate
+    slot = 1000.0 / _bit_rate(preset, symbol_rate)
     return slot / 2.0, slot / 2.0
 
 
@@ -131,25 +137,24 @@ def payload_ber(key: bytes, received_bits: list[int]) -> float:
 def run_scenario(cfg: ScenarioConfig) -> RunResult:
     """One deterministic exfiltration attempt through a channel preset."""
     preset = chan.lookup(cfg.channel)
+    rate = _bit_rate(preset, cfg.symbol_rate)
     key = cfg.key if cfg.key is not None else derive_key(cfg.seed)
     bits = keyframe.frame_encode(key)
     noise_seed = (cfg.seed ^ STAGE_NOISE) & 0xFFFFFFFFFFFFFFFF
     snr = cfg.snr_db if cfg.snr_db is not None else preset.snr_db
 
     if preset.kind == chan.WAVEFORM:
-        mcfg = waveform_modem_config(preset, cfg.symbol_rate, cfg.f0, cfg.f1)
+        mcfg = waveform_modem_config(preset, rate, cfg.f0, cfg.f1)
         modulate = modem.bfsk_modulate if mcfg.scheme == "bfsk" else modem.ook_modulate
         demodulate = modem.bfsk_demodulate if mcfg.scheme == "bfsk" else modem.ook_demodulate
         tx = modulate(bits, mcfg)
         rx = chan.apply_waveform_channel(tx, preset, snr_db=snr, seed=noise_seed)
         received_bits = demodulate(rx, mcfg)
-        airtime = len(bits) / mcfg.symbol_rate
     else:
-        on_ms, off_ms = trace_slot_ms(preset, cfg.symbol_rate)
+        on_ms, off_ms = trace_slot_ms(preset, rate)
         tx = modem.trace_modulate(bits, on_ms, off_ms)
         rx = chan.apply_trace_channel(tx, preset, seed=noise_seed)
         received_bits = modem.trace_demodulate(rx, on_ms, off_ms)
-        airtime = len(bits) * (on_ms + off_ms) / 1000.0
 
     success = False
     error_kind = ""
@@ -167,7 +172,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         seed=cfg.seed,
         snr_db=snr,
         bits_sent=len(bits),
-        airtime_s=airtime,
+        airtime_s=len(bits) / rate,
         ber=ber,
         success=success,
         error_kind=error_kind,

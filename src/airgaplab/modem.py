@@ -68,7 +68,7 @@ class ModemConfig:
     def validate(self) -> None:
         if self.scheme not in ("ook", "bfsk"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.symbol_rate <= 0:
+        if not self.symbol_rate > 0:
             raise ValueError("symbol_rate must be positive")
         if not 0.0 <= self.amplitude <= 1.0:
             raise ValueError("amplitude must lie in [0, 1]")
@@ -77,6 +77,8 @@ class ModemConfig:
         for tone in self.tones():
             if tone >= self.sample_rate / 2:
                 raise NyquistViolation(f"tone {tone} Hz >= Nyquist {self.sample_rate / 2} Hz")
+            if not math.isfinite(tone):
+                raise ValueError(f"tone {tone} Hz is not finite")
         if self.samples_per_symbol < MIN_SAMPLES_PER_SYMBOL:
             raise SymbolRateTooHigh(
                 f"{self.samples_per_symbol:.2f} samples/symbol < {MIN_SAMPLES_PER_SYMBOL}"
@@ -110,8 +112,9 @@ def _synthesize(bits, cfg: ModemConfig) -> Waveform:
     bits = np.asarray(list(bits))
     if not np.all((bits == 0) | (bits == 1)):
         raise ValueError("bits must be 0 or 1")
-    width = math.ceil(cfg.samples_per_symbol)
-    if bits.size * width > MAX_TX_SAMPLES:
+    sps = cfg.samples_per_symbol
+    width = math.ceil(sps) if math.isfinite(sps) else sps  # math.ceil would overflow; an inf or NaN grid fails below
+    if not bits.size * width <= MAX_TX_SAMPLES:
         raise ValueError(f"{bits.size} symbols of {width} samples exceed the {MAX_TX_SAMPLES}-sample limit")
     bits = bits.astype(np.intp)
     # Tone and amplitude of bit 0 and bit 1.  An OOK '0' is the carrier at
@@ -288,8 +291,8 @@ def bfsk_demodulate(w: Waveform, cfg: ModemConfig) -> list[int]:
 def trace_modulate(bits, on_ms: float, off_ms: float) -> EventTrace:
     """Time-slot code: a '1' slot is on for on_ms then off for off_ms;
     a '0' slot stays off for the whole on_ms+off_ms."""
-    if on_ms <= 0 or off_ms <= 0:
-        raise ValueError("slot durations must be positive")
+    if not (0 < on_ms < math.inf and 0 < off_ms < math.inf):
+        raise ValueError("slot durations must be positive and finite")
     events: list[tuple[str, float]] = []
     for bit in bits:
         if bit:
@@ -308,8 +311,8 @@ def trace_demodulate(trace: EventTrace, on_ms: float, off_ms: float) -> list[int
     a whole number of '0' slots on its own, which stays exact for jitter
     below half a slot.
     """
-    if on_ms <= 0 or off_ms <= 0:
-        raise ValueError("slot durations must be positive")
+    if not (0 < on_ms < math.inf and 0 < off_ms < math.inf):
+        raise ValueError("slot durations must be positive and finite")
     if not trace.events:
         raise EmptyTrace("trace contains no events")
     slot = float(on_ms) + float(off_ms)

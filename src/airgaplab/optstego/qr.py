@@ -258,17 +258,11 @@ def alignment_positions(version: int) -> list[int]:
     return positions
 
 
-def _format_positions_copy1(size: int) -> list[tuple[int, int]]:
-    pos = [(8, i) for i in range(6)]
-    pos += [(8, 7), (8, 8), (7, 8)]
-    pos += [(14 - i, 8) for i in range(9, 15)]
-    return pos
-
-
-def _format_positions_copy2(size: int) -> list[tuple[int, int]]:
-    pos = [(size - 1 - i, 8) for i in range(8)]
-    pos += [(8, size - 15 + i) for i in range(8, 15)]
-    return pos
+def _format_positions(size: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """(x, y) of format bits 0-14 in the copy beside the top-left finder, then in the split copy."""
+    copy1 = [(8, i) for i in range(6)] + [(8, 7), (8, 8), (7, 8)] + [(14 - i, 8) for i in range(9, 15)]
+    copy2 = [(size - 1 - i, 8) for i in range(8)] + [(8, size - 15 + i) for i in range(8, 15)]
+    return copy1, copy2
 
 
 def _bch_remainder(data: int, n_rounds: int, generator: int, top_shift: int) -> int:
@@ -278,11 +272,18 @@ def _bch_remainder(data: int, n_rounds: int, generator: int, top_shift: int) -> 
     return rem
 
 
+# The 15-bit format word of every (level, mask): levels L, M, Q, H, each with masks 0-7.
+_FORMAT_WORDS = {
+    (level, mask): (data << 10 | _bch_remainder(data, 10, FORMAT_GENERATOR, 9)) ^ FORMAT_XOR_MASK
+    for level in EC_LEVELS
+    for mask in range(8)
+    for data in [FORMAT_BITS[level] << 3 | mask]
+}
+
+
 def format_code(ec_level: str, mask: int) -> int:
     """The 15-bit format information word for a level/mask pair."""
-    data = FORMAT_BITS[ec_level] << 3 | mask
-    rem = _bch_remainder(data, 10, FORMAT_GENERATOR, 9)
-    return ((data << 10) | rem) ^ FORMAT_XOR_MASK
+    return _FORMAT_WORDS[ec_level, mask]
 
 
 def version_code(version: int) -> int:
@@ -369,18 +370,6 @@ def interleave(data_codewords: list[int], version: int, ec_level: str) -> list[i
     return [blocks[b][i] for b, i in _interleave_slots(version, ec_level)]
 
 
-def deinterleave_and_correct(codewords: list[int], version: int, ec_level: str) -> list[int]:
-    """Invert the interleave, RS-correct every block, return data codewords."""
-    lengths, ecc = _split_block_lengths(version, ec_level)
-    blocks = [[0] * (length + ecc) for length in lengths]
-    for (b, i), codeword in zip(_interleave_slots(version, ec_level), codewords, strict=True):
-        blocks[b][i] = codeword
-    out: list[int] = []
-    for block, length in zip(blocks, lengths):
-        out.extend(rs_correct(block, ecc)[0][:length])
-    return out
-
-
 # ---- matrix construction ----
 
 
@@ -423,12 +412,10 @@ def _draw_function_patterns(modules: list[list[bool]], version: int) -> None:
 
 
 def _draw_format(modules: list[list[bool]], ec_level: str, mask: int) -> None:
-    size = len(modules)
-    code = format_code(ec_level, mask)
-    for i, (x, y) in enumerate(_format_positions_copy1(size)):
-        modules[y][x] = (code >> i) & 1 == 1
-    for i, (x, y) in enumerate(_format_positions_copy2(size)):
-        modules[y][x] = (code >> i) & 1 == 1
+    code = _FORMAT_WORDS[ec_level, mask]
+    for positions in _format_positions(len(modules)):
+        for i, (x, y) in enumerate(positions):
+            modules[y][x] = (code >> i) & 1 == 1
 
 
 @lru_cache(maxsize=None)
@@ -511,37 +498,35 @@ def qr_encode(text: bytes, ec_level: str = "M") -> QrMatrix:
 
 
 def read_format(m: QrMatrix) -> tuple[str, int]:
-    """Recover (ec_level, mask) from either format-information copy."""
-    size = m.size
-    best: tuple[int, str, int] | None = None
-    for positions in (_format_positions_copy1(size), _format_positions_copy2(size)):
-        received = 0
-        for i, (x, y) in enumerate(positions):
-            if m.modules[y][x]:
-                received |= 1 << i
-        for level in EC_LEVELS:
-            for mask in range(8):
-                distance = bin(received ^ format_code(level, mask)).count("1")
-                if best is None or distance < best[0]:
-                    best = (distance, level, mask)
-    assert best is not None
-    if best[0] > 3:
-        raise MalformedFormatInfo(f"best format-code distance {best[0]} exceeds 3")
-    return best[1], best[2]
-
-
-def read_codewords(m: QrMatrix) -> tuple[list[int], str]:
-    """Unmask and read the interleaved codewords; returns (codewords, level)."""
-    level, mask = read_format(m)
-    cells = _data_cells(m.version, mask)[: TOTAL_CODEWORDS[m.version] * 8]
-    bits = [m.modules[y][x] ^ flip for x, y, flip in cells]
-    return np.packbits(bits).tolist(), level
+    """Recover (ec_level, mask) from the nearest format word in either
+    copy; a tie goes to copy 1, then to the earlier table entry."""
+    best = None
+    for positions in _format_positions(m.size):
+        received = sum(1 << i for i, (x, y) in enumerate(positions) if m.modules[y][x])
+        for (level, mask), word in _FORMAT_WORDS.items():
+            distance = (received ^ word).bit_count()
+            if best is None or distance < best[0]:
+                best = (distance, level, mask)
+    distance, level, mask = best
+    if distance > 3:
+        raise MalformedFormatInfo(f"best format-code distance {distance} exceeds 3")
+    return level, mask
 
 
 def decode_data_codewords(m: QrMatrix) -> tuple[list[int], str]:
-    """RS-corrected data codewords plus the recovered level."""
-    codewords, level = read_codewords(m)
-    return deinterleave_and_correct(codewords, m.version, level), level
+    """Unmask, deinterleave and RS-correct every block; returns the data
+    codewords plus the recovered level."""
+    level, mask = read_format(m)
+    cells = _data_cells(m.version, mask)[: TOTAL_CODEWORDS[m.version] * 8]
+    codewords = np.packbits([m.modules[y][x] ^ flip for x, y, flip in cells]).tolist()
+    lengths, ecc = _split_block_lengths(m.version, level)
+    blocks = [[0] * (length + ecc) for length in lengths]
+    for (b, i), codeword in zip(_interleave_slots(m.version, level), codewords, strict=True):
+        blocks[b][i] = codeword
+    out: list[int] = []
+    for block, length in zip(blocks, lengths):
+        out.extend(rs_correct(block, ecc)[0][:length])
+    return out, level
 
 
 def parse_byte_segment(data_codewords: list[int], version: int) -> tuple[bytes, int]:

@@ -103,6 +103,27 @@ class TestExfil:
         assert "usage:" in capsys.readouterr().err
         assert peak < 2**22
 
+    @pytest.mark.parametrize(
+        "channel, option, code",
+        [
+            ("gsmem", "--symbol-rate=inf", 2),
+            ("gsmem", "--symbol-rate=1e306", 1),
+            ("kbd_led", "--symbol-rate=0", 2),
+            ("ultrasonic", "--symbol-rate=inf", 2),
+            ("ultrasonic", "--symbol-rate=1e-320", 2),
+            ("gsmem", "--symbol-rate=1e-320", 2),
+            ("ultrasonic", "--f0=nan", 2),
+            ("gsmem", "--f0=-inf", 2),
+        ],
+    )
+    def test_unusable_rate_or_tone_exits_without_traceback(self, capsys, channel, option, code):
+        try:
+            got = main(["exfil", "--channel", channel, "--seed", "1", option])
+        except SystemExit as exc:
+            got = exc.code
+        assert got == code
+        assert ("usage:" if code == 2 else "error: NyquistViolation") in capsys.readouterr().err
+
 
 class TestSweep:
     def test_non_finite_snr_usage_error(self, capsys, tmp_path):
@@ -146,9 +167,10 @@ class TestQrStego:
         assert code == 1
         assert "NoSecret" in err
 
-    def test_extract_truncated_pbm_fails_cleanly(self, capsys, tmp_path):
+    @pytest.mark.parametrize("raw", [b"P1\n21\n", b"P1\n21 21\n\xff\xfe\n"], ids=["truncated", "not-utf8"])
+    def test_extract_truncated_pbm_fails_cleanly(self, capsys, tmp_path, raw):
         pbm_path = tmp_path / "bad.pbm"
-        pbm_path.write_text("P1\n21\n")
+        pbm_path.write_bytes(raw)
         code, _, err = run_cli(capsys, "qr-stego", "extract", "--pbm", str(pbm_path))
         assert code == 1
         assert err.startswith("error: MalformedInput")

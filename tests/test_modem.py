@@ -64,6 +64,24 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             cfg.validate()
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ModemConfig(scheme="bfsk", symbol_rate=20, sample_rate=48000, f0=math.nan, f1=18500),
+            ModemConfig(scheme="ook", symbol_rate=100, sample_rate=8000, f_carrier=-math.inf),
+            ModemConfig(scheme="ook", symbol_rate=math.nan, sample_rate=8000, f_carrier=1000),
+        ],
+        ids=["nan-f0", "minus-inf-carrier", "nan-symbol-rate"],
+    )
+    def test_non_finite_tone_or_rate_rejected(self, cfg):
+        with pytest.raises(ValueError):
+            cfg.validate()
+
+    def test_subnormal_symbol_rate_refused_before_synthesis(self):
+        cfg = ModemConfig(scheme="ook", symbol_rate=1e-320, sample_rate=8000, f_carrier=1000)
+        with pytest.raises(ValueError, match="exceed"):
+            ook_modulate([], cfg)
+
 
 class TestOok:
     def test_empty_bits_empty_waveform(self):
@@ -353,6 +371,13 @@ class TestEventTraces:
     def test_modulate_example_pattern(self):
         trace = trace_modulate([1, 0], on_ms=50, off_ms=50)
         assert trace.events == [("on", 50.0), ("off", 50.0), ("off", 100.0)]
+
+    @pytest.mark.parametrize("slot", [math.inf, math.nan])
+    def test_non_finite_slot_rejected(self, slot):
+        with pytest.raises(ValueError):
+            trace_modulate([1, 0], slot, slot)
+        with pytest.raises(ValueError):
+            trace_demodulate(EventTrace([("on", 50.0), ("off", 50.0)]), slot, slot)
 
     def test_empty_bits_empty_trace(self):
         assert trace_modulate([], 50, 50).events == []
