@@ -9,7 +9,10 @@ simulations.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +28,9 @@ DEFAULT_JITTER = 0.10
 # Fraction of a preset's catalog rate vs. the top of its published time
 # window that still counts as in-budget once framing overhead is added.
 TIME_BUDGET_FACTOR = 2.5
+
+# Samples per block when the burst power scans for the burst's edges.
+_SCAN_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -113,15 +119,33 @@ def _bandpass(samples: np.ndarray, band: tuple[float, float], sample_rate: int) 
     return lfilter(b, a, samples)
 
 
+def _first_above(samples: np.ndarray, floor: float) -> int | None:
+    """Index of the first sample whose magnitude exceeds floor, scanned a
+    block at a time; None when there is none."""
+    for a in range(0, len(samples), _SCAN_BLOCK):
+        hits = np.flatnonzero(np.abs(samples[a : a + _SCAN_BLOCK]) > floor)
+        if hits.size:
+            return a + int(hits[0])
+    return None
+
+
 def _burst_power(samples: np.ndarray) -> float:
-    """Mean power over the active burst, excluding leading/trailing silence."""
-    mag = np.abs(samples)
-    peak = mag.max() if len(mag) else 0.0
+    """Mean power over the active burst, excluding leading/trailing silence.
+
+    The burst edges come from blocks scanned in from each end, so the only
+    full-length temporary is the burst's squares, which np.mean sums whole.
+    """
+    if not len(samples):
+        return 0.0
+    peak = max(samples.max(), -samples.min())
     if peak <= 0.0:
         return 0.0
-    active = mag > 1e-6 * peak
-    first, last = int(active.argmax()), len(active) - 1 - int(active[::-1].argmax())
-    burst = samples[first : last + 1]
+    floor = 1e-6 * peak
+    first = _first_above(samples, floor)
+    if first is None:  # nothing above a NaN or inf peak's floor: the whole signal
+        burst = samples
+    else:
+        burst = samples[first : len(samples) - _first_above(samples[::-1], floor)]
     return float(np.mean(burst * burst))
 
 
@@ -130,11 +154,48 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
 
 
+def _snr_ratio(snr_db: float) -> float:
+    """Signal-to-noise power ratio; ValueError when it is NaN or not above 0."""
+    try:
+        ratio = 10.0 ** (snr_db / 10.0)
+    except OverflowError:  # finite but above ~3082 dB: the noise scales to zero
+        ratio = math.inf
+    if not ratio > 0.0:
+        raise ValueError(f"SNR must be +inf or a number of dB above about -3200, not {snr_db}")
+    return ratio
+
+
+@contextmanager
+def noise_draw(preset: ChannelPreset, n_samples: int, snr_db: float | None = None, seed: int = 0):
+    """Start the unit-variance noise of one waveform channel pass.
+
+    Yields a pending draw of n_samples for apply_waveform_channel's `noise`,
+    which adds it to a signal of that length for the same preset, SNR and
+    seed.  The SNR is checked before anything is drawn.  For a banded
+    preset at finite SNR one worker thread draws while the block runs, and
+    leaving the block waits for it; otherwise the draw runs on the
+    calling thread when the channel asks for it.
+    """
+    if preset.kind != WAVEFORM:
+        raise ValueError(f"preset {preset.name!r} is not a waveform channel")
+    snr_db = preset.snr_db if snr_db is None else snr_db
+    _snr_ratio(snr_db)
+    draw = functools.partial(_rng(seed).standard_normal, n_samples)
+    if preset.band is None or math.isinf(snr_db):
+        yield draw
+        return
+    from concurrent.futures import ThreadPoolExecutor  # here: only banded presets pay its import
+
+    with ThreadPoolExecutor(1) as pool:
+        yield pool.submit(draw).result
+
+
 def apply_waveform_channel(
     w: Waveform,
     preset: ChannelPreset,
     snr_db: float | None = None,
     seed: int = 0,
+    noise: Callable[[], np.ndarray] | None = None,
 ) -> Waveform:
     """Bandpass -> additive white Gaussian noise, seeded.
 
@@ -142,41 +203,28 @@ def apply_waveform_channel(
     of the (filtered) signal so the requested SNR is what a receiver
     actually measures.  An infinite SNR with no passband is the identity;
     a NaN or -inf SNR, or one so low that its power ratio underflows to
-    zero, raises ValueError before any noise is drawn.  With a passband,
-    one worker thread draws the unit-variance noise while this thread
+    zero, raises ValueError before any noise is drawn.  `noise` is a draw
+    from noise_draw started for this call; without one the call starts its
+    own, so with a passband one worker thread draws while this thread
     filters.  numpy's normal(0, s) is 0 + s*z over the same standard
     normal stream, so the samples are those of normal(0, s, n) + filtered
     either way.
     """
-    if preset.kind != WAVEFORM:
-        raise ValueError(f"preset {preset.name!r} is not a waveform channel")
-    if snr_db is None:
-        snr_db = preset.snr_db
-    try:
-        snr_ratio = 10.0 ** (snr_db / 10.0)
-    except OverflowError:  # finite but above ~3082 dB: the noise scales to zero
-        snr_ratio = math.inf
-    if not snr_ratio > 0.0:
-        raise ValueError(f"SNR must be +inf or a number of dB above about -3200, not {snr_db}")
-    if preset.band is None:
-        if math.isinf(snr_db):
-            return Waveform(w.sample_rate, w.samples.copy())
-        out = w.samples
-        power = _burst_power(out)
-        noise = _rng(seed).standard_normal(len(out))
-    elif math.isinf(snr_db):
-        return Waveform(w.sample_rate, _bandpass(w.samples, preset.band, w.sample_rate))
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # here: only banded presets pay its import
-
-        with ThreadPoolExecutor(1) as pool:
-            draw = pool.submit(_rng(seed).standard_normal, len(w.samples))
+    snr_db = preset.snr_db if snr_db is None else snr_db
+    with nullcontext(noise) if noise is not None else noise_draw(preset, len(w.samples), snr_db, seed) as noise:
+        if preset.band is None:
+            if math.isinf(snr_db):
+                return Waveform(w.sample_rate, w.samples.copy())
+            out = w.samples
+        else:
             out = _bandpass(w.samples, preset.band, w.sample_rate)
-            power = _burst_power(out)
-            noise = draw.result()
-    noise *= math.sqrt(power / snr_ratio)
-    noise += out
-    return Waveform(w.sample_rate, noise)
+            if math.isinf(snr_db):
+                return Waveform(w.sample_rate, out)
+        power = _burst_power(out)
+        samples = noise()
+    samples *= math.sqrt(power / _snr_ratio(snr_db))
+    samples += out
+    return Waveform(w.sample_rate, samples)
 
 
 def apply_trace_channel(t: EventTrace, preset: ChannelPreset, seed: int = 0) -> EventTrace:

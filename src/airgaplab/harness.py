@@ -147,8 +147,12 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         mcfg = waveform_modem_config(preset, rate, cfg.f0, cfg.f1)
         modulate = modem.bfsk_modulate if mcfg.scheme == "bfsk" else modem.ook_modulate
         demodulate = modem.bfsk_demodulate if mcfg.scheme == "bfsk" else modem.ook_demodulate
-        tx = modulate(bits, mcfg)
-        rx = chan.apply_waveform_channel(tx, preset, snr_db=snr, seed=noise_seed)
+        mcfg.validate()
+        # Checked before the noise draw starts: it is sized from this count.
+        n_samples = modem.sample_count(len(bits), mcfg)
+        with chan.noise_draw(preset, n_samples, snr, noise_seed) as noise:
+            tx = modulate(bits, mcfg)
+            rx = chan.apply_waveform_channel(tx, preset, snr_db=snr, seed=noise_seed, noise=noise)
         received_bits = demodulate(rx, mcfg)
     else:
         on_ms, off_ms = trace_slot_ms(preset, rate)

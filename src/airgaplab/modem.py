@@ -98,6 +98,19 @@ def _symbol_boundaries(n_symbols: int, cfg: ModemConfig) -> np.ndarray:
     return np.round(idx * cfg.sample_rate / cfg.symbol_rate).astype(np.int64)
 
 
+def sample_count(n_symbols: int, cfg: ModemConfig) -> int:
+    """Samples in the waveform of n_symbols symbols on cfg's grid.
+
+    Raises ValueError when the transmit grid (symbols x ceil(sps)) exceeds
+    MAX_TX_SAMPLES, so a caller can size a buffer before any is built.
+    """
+    sps = cfg.samples_per_symbol
+    width = math.ceil(sps) if math.isfinite(sps) else sps  # math.ceil would overflow; an inf or NaN grid fails below
+    if not n_symbols * width <= MAX_TX_SAMPLES:
+        raise ValueError(f"{n_symbols} symbols of {width} samples exceed the {MAX_TX_SAMPLES}-sample limit")
+    return int(_symbol_boundaries(n_symbols, cfg)[-1])
+
+
 def _synthesize(bits, cfg: ModemConfig) -> Waveform:
     """Continuous-phase tone per symbol, from per-bit cos/sin tables.
 
@@ -106,16 +119,15 @@ def _synthesize(bits, cfg: ModemConfig) -> Waveform:
     (symbols x 4) by (4 x ceil(sps)) product.  phi_k does not drift: it is
     the tone cycles f*N/sample_rate of the N samples each tone has sent so
     far, reduced mod 1 from f's whole part (an exact integer product) and
-    its fraction separately.  Rows for floor(sps)-long symbols lose their
-    last column to a mask.
+    its fraction separately.  On an integer grid the rows are the samples;
+    otherwise rows for floor(sps)-long symbols lose their last column to a
+    mask.
     """
     bits = np.asarray(list(bits))
     if not np.all((bits == 0) | (bits == 1)):
         raise ValueError("bits must be 0 or 1")
-    sps = cfg.samples_per_symbol
-    width = math.ceil(sps) if math.isfinite(sps) else sps  # math.ceil would overflow; an inf or NaN grid fails below
-    if not bits.size * width <= MAX_TX_SAMPLES:
-        raise ValueError(f"{bits.size} symbols of {width} samples exceed the {MAX_TX_SAMPLES}-sample limit")
+    total = sample_count(bits.size, cfg)
+    width = math.ceil(cfg.samples_per_symbol)
     bits = bits.astype(np.intp)
     # Tone and amplitude of bit 0 and bit 1.  An OOK '0' is the carrier at
     # zero amplitude, so the carrier's phase keeps running through it.
@@ -134,6 +146,8 @@ def _synthesize(bits, cfg: ModemConfig) -> Waveform:
     table = np.stack((np.cos(angles), np.sin(angles)), axis=1) * gains[:, None, None]
     # einsum, not @: this 4-deep product is memory-bound; threaded BLAS only slows it.
     rows = np.einsum("kt,tj->kj", coef.reshape(bits.size, 4), table.reshape(4, width))
+    if total == rows.size:  # every symbol is width samples long
+        return Waveform(cfg.sample_rate, rows.reshape(-1))
     return Waveform(cfg.sample_rate, rows[np.arange(width) < lengths[:, None]])
 
 
@@ -158,36 +172,47 @@ class _ToneBank:
 
     A window's energy |sum x[n] exp(-j w n)|^2 does not depend on where n
     starts counting, so each window, as a row of samples, is dotted with
-    every row of one small (2*tones x width) cos/sin table.  The samples
-    are zero-padded by more than any timing offset (`_propose_offset`
-    reaches 4*round(sps/4) <= sps + 2), so a window past either end reads
-    zeros, as if clipped.
+    every row of one small (2*tones x width) cos/sin table.  Windows are
+    gathered BLOCK at a time straight from the samples; a window past
+    either end reads zeros there, as if clipped.
     """
+
+    BLOCK = 64
 
     def __init__(self, samples: np.ndarray, cfg: ModemConfig):
         self.cfg = cfg
         self.width = math.ceil(cfg.samples_per_symbol)
-        self.pad = self.width + 2
-        zeros = np.zeros(self.pad + self.width)
-        self._rows = sliding_window_view(np.concatenate((zeros[: self.pad], samples, zeros)), self.width)
+        self.samples = np.asarray(samples, dtype=np.float64)
         angles = np.outer(2.0 * np.pi * np.asarray(cfg.tones()) / cfg.sample_rate, np.arange(self.width))
         self._table = np.vstack((np.cos(angles), np.sin(angles)))
+
+    def _windows(self, starts: np.ndarray) -> np.ndarray:
+        """A fresh (len(starts) x width) array of the windows at ascending starts."""
+        lo, hi = int(starts[0]), int(starts[-1]) + self.width
+        n = len(self.samples)
+        if 0 <= lo and hi <= n:
+            return sliding_window_view(self.samples, self.width)[starts]
+        span = np.zeros(hi - lo)
+        a, b = max(lo, 0), min(hi, n)
+        if a < b:
+            span[a - lo : b - lo] = self.samples[a:b]
+        return sliding_window_view(span, self.width)[starts - lo]
 
     def soft_symbols(self, offset: int, n_symbols: int) -> np.ndarray:
         """Per-symbol decision statistic at a given sample offset.
 
         OOK: correlation energy at the carrier.  BFSK: energy(f1) - energy(f0).
         """
-        if abs(offset) > self.pad:
-            raise ValueError(f"timing offset {offset} exceeds the {self.pad}-sample padding")
         bounds = _symbol_boundaries(n_symbols, self.cfg) + offset
-        windows = self._rows[bounds[:-1] + self.pad]
-        windows[np.diff(bounds) < self.width, -1] = 0.0  # floor(sps)-long windows
-        # Per-window dot products, not a threaded windows @ table GEMM: after
-        # the GEMM, OpenBLAS workers hold the second CPU that the channel's
-        # noise thread needs, and drawing the noise beside the filter gains
-        # nothing.
-        proj = np.vecdot(windows[:, None, :], self._table)
+        starts, short = bounds[:-1], np.diff(bounds) < self.width  # short: floor(sps)-long windows
+        proj = np.empty((n_symbols, len(self._table)))
+        for i in range(0, n_symbols, self.BLOCK):
+            windows = self._windows(starts[i : i + self.BLOCK])
+            windows[short[i : i + self.BLOCK], -1] = 0.0
+            # Per-window dot products, not a threaded windows @ table GEMM:
+            # after the GEMM, OpenBLAS workers hold the second CPU that the
+            # channel's noise thread needs.
+            proj[i : i + self.BLOCK] = np.vecdot(windows[:, None, :], self._table)
         energies = (proj.reshape(len(proj), 2, -1) ** 2).sum(axis=1)  # cos^2 + sin^2 per tone
         if self.cfg.scheme == "ook":
             return energies[:, 0]

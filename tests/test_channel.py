@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from airgaplab.channel import (
     apply_waveform_channel,
     catalog_csv,
     lookup,
+    noise_draw,
     preset_catalog,
     _bandpass,
     _burst_power,
@@ -185,6 +187,43 @@ class TestNoiseStream:
         for s in seeds:
             assert len(got[s]) == 3
             assert all(np.array_equal(samples, want[s]) for samples in got[s])
+
+
+class TestNoiseDraw:
+    @pytest.mark.parametrize("snr_db", [-10.0, 30.0, math.inf])
+    @pytest.mark.parametrize("preset", ["ultrasonic", "radiot"])
+    def test_handed_in_draw_equals_the_channels_own(self, preset, snr_db):
+        w = bfsk_modulate([1, 0, 1, 1, 0, 0, 1], BFSK)
+        with noise_draw(lookup(preset), len(w.samples), snr_db, seed=5) as noise:
+            got = apply_waveform_channel(w, lookup(preset), snr_db=snr_db, seed=5, noise=noise)
+        want = apply_waveform_channel(w, lookup(preset), snr_db=snr_db, seed=5)
+        assert np.array_equal(got.samples, want.samples)
+
+    @pytest.mark.parametrize("preset, snr_db", [("radiot", 10.0), ("ultrasonic", math.inf)])
+    def test_no_worker_thread_without_band_or_noise(self, monkeypatch, preset, snr_db):
+        def submit(*args, **kwargs):
+            pytest.fail("noise drawn on a worker thread")
+
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", submit)
+        w = bfsk_modulate([1, 0, 1], BFSK)
+        with noise_draw(lookup(preset), len(w.samples), snr_db, seed=5) as noise:
+            apply_waveform_channel(w, lookup(preset), snr_db=snr_db, seed=5, noise=noise)
+        apply_waveform_channel(w, lookup(preset), snr_db=snr_db, seed=5)
+
+    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf, -4000.0])
+    def test_unusable_snr_rejected_before_the_draw_starts(self, monkeypatch, snr_db):
+        def submit(*args, **kwargs):
+            pytest.fail("noise drawn for an unusable SNR")
+
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", submit)
+        with pytest.raises(ValueError, match="SNR"):
+            with noise_draw(lookup("ultrasonic"), 10, snr_db, seed=5):
+                pass
+
+    def test_trace_preset_rejected(self):
+        with pytest.raises(ValueError, match="not a waveform channel"):
+            with noise_draw(lookup("kbd_led"), 10):
+                pass
 
 
 class TestHostileSnr:

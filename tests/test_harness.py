@@ -2,6 +2,8 @@
 
 import math
 import random
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -101,6 +103,40 @@ class TestRunScenario:
             report = run_scenario(ScenarioConfig(channel=name, seed=3)).report
             rate = lookup(name).nominal_bit_rate
             assert abs(report.airtime_s * rate - report.bits_sent) <= 1.0
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the tracemalloc peak in bytes while it ran; an exception
+    fn raises is returned in place of its result."""
+    tracemalloc.start()
+    try:
+        try:
+            result = fn(*args)
+        except Exception as exc:  # handed back for the caller to check
+            result = exc
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBudget:
+    @pytest.mark.parametrize("channel, bound", [("ultrasonic", 4.25), ("gsmem", 2.5)])
+    def test_warm_run_peak_is_a_few_outputs(self, channel, bound):
+        run_scenario(ScenarioConfig(channel=channel, seed=1))
+        result, peak = traced_peak(run_scenario, ScenarioConfig(channel=channel, seed=2))
+        assert peak <= bound * result.received.samples.nbytes
+
+
+class TestRefusalOrder:
+    @pytest.mark.parametrize("override", [{"snr_db": math.nan}, {"symbol_rate": 1e-6}], ids=["nan-snr", "oversized-grid"])
+    def test_refused_before_the_noise_draw_starts(self, monkeypatch, override):
+        def submit(*args, **kwargs):
+            pytest.fail("work submitted to a thread pool before the run was refused")
+
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", submit)
+        raised, peak = traced_peak(run_scenario, ScenarioConfig(channel="ultrasonic", seed=1, **override))
+        assert isinstance(raised, ValueError)
+        assert peak < 4 * 2**20
 
 
 class TestPayloadBer:

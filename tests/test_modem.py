@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import hilbert
 
 from airgaplab.errors import (
@@ -38,7 +39,7 @@ from airgaplab.modem import (
     write_trace_csv,
     write_wav,
 )
-from airgaplab.modem import _synthesize, _ToneBank
+from airgaplab.modem import _demodulate, _symbol_boundaries, _synthesize, _ToneBank, sample_count
 
 OOK = ModemConfig(scheme="ook", symbol_rate=100, sample_rate=8000, f_carrier=1000, amplitude=0.8)
 BFSK = ModemConfig(scheme="bfsk", symbol_rate=20, sample_rate=48000, f0=17500, f1=18500, amplitude=0.8)
@@ -299,6 +300,44 @@ def receiver_cases(draw):
     return cfg, samples, n_symbols, offset
 
 
+def padded_soft_symbols(samples, cfg, offset, n_symbols):
+    """The receiver's soft symbols gathered all at once from one copy of the
+    samples zero-padded by more than any offset up to width + 2."""
+    width = math.ceil(cfg.samples_per_symbol)
+    pad = width + 2
+    zeros = np.zeros(pad + width)
+    rows = sliding_window_view(np.concatenate((zeros[:pad], samples, zeros)), width)
+    bounds = _symbol_boundaries(n_symbols, cfg) + offset
+    windows = rows[bounds[:-1] + pad]
+    windows[np.diff(bounds) < width, -1] = 0.0
+    angles = np.outer(2.0 * np.pi * np.asarray(cfg.tones()) / cfg.sample_rate, np.arange(width))
+    proj = np.vecdot(windows[:, None, :], np.vstack((np.cos(angles), np.sin(angles))))
+    energies = (proj.reshape(len(proj), 2, -1) ** 2).sum(axis=1)
+    return energies[:, 0] if cfg.scheme == "ook" else energies[:, 1] - energies[:, 0]
+
+
+@st.composite
+def block_gather_cases(draw):
+    """A config with integer or non-integer samples/symbol, a signal from
+    shorter than one window to a few blocks of windows, a symbol count whose
+    windows start inside the signal, and an offset within the old padding."""
+    symbol_rate = draw(st.integers(200, 2000) | st.floats(200.0, 2000.0))
+    if isinstance(symbol_rate, int) and draw(st.booleans()):
+        sample_rate = symbol_rate * draw(st.integers(MIN_SAMPLES_PER_SYMBOL, 24))
+    else:
+        sample_rate = draw(st.integers(math.ceil(MIN_SAMPLES_PER_SYMBOL * symbol_rate), int(24 * symbol_rate)))
+    scheme = draw(st.sampled_from(["ook", "bfsk"]))
+    cfg = ModemConfig(scheme, symbol_rate, sample_rate, f_carrier=sample_rate / 7, f0=sample_rate / 9, f1=sample_rate / 5)
+    cfg.validate()
+    width = math.ceil(cfg.samples_per_symbol)
+    length = draw(st.integers(0, width) | st.integers(0, 3 * _ToneBank.BLOCK * width))
+    samples = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(length)
+    n_symbols = draw(st.integers(1, 1 + int(length / cfg.samples_per_symbol)))
+    pad = width + 2
+    offset = draw(st.sampled_from([-pad, pad]) | st.integers(-pad, pad))
+    return cfg, samples, n_symbols, offset
+
+
 class TestReceiverOracle:
     @settings(deadline=None)
     @given(case=receiver_cases())
@@ -308,6 +347,17 @@ class TestReceiverOracle:
         want, peak = brute_force_soft_symbols(samples, cfg, offset, n_symbols)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-9 * peak
+
+    @settings(deadline=None)
+    @given(case=block_gather_cases())
+    def test_block_gather_equals_padded_copy_exactly(self, case):
+        cfg, samples, n_symbols, offset = case
+        received = samples.copy()
+        got = _ToneBank(received, cfg).soft_symbols(offset, n_symbols)
+        assert np.array_equal(got, padded_soft_symbols(samples, cfg, offset, n_symbols))
+        if round(len(samples) / cfg.samples_per_symbol) >= 1:
+            _demodulate(Waveform(cfg.sample_rate, received), cfg)
+        assert np.array_equal(received, samples)  # short windows are zeroed in the gathered copy only
 
 
 def exact_phase_waveform(bits, cfg):
@@ -365,6 +415,36 @@ class TestTransmitterOracle:
         bits = frame_encode(bytes(range(32)))
         got = _synthesize(bits, cfg).samples
         assert np.abs(got - exact_phase_waveform(bits, cfg)).max() <= 1e-9 * cfg.amplitude
+
+
+class TestSampleCount:
+    @pytest.mark.parametrize(
+        "preset, rate",
+        [(name, None) for name in ("airhopper", "gsmem", "radiot", "powerhammer", "magnetic", "ultrasonic", "mosquito")]
+        + [("radiot", 37.5), ("ultrasonic", 19.3)],
+    )
+    def test_equals_modulated_length(self, preset, rate):
+        from airgaplab.channel import lookup
+        from airgaplab.harness import waveform_modem_config
+
+        cfg = waveform_modem_config(lookup(preset), rate)
+        bits = frame_encode(bytes(range(32)))
+        modulate = bfsk_modulate if cfg.scheme == "bfsk" else ook_modulate
+        assert sample_count(len(bits), cfg) == len(modulate(bits, cfg).samples)
+
+    def test_refuses_oversized_grid(self):
+        cfg = ModemConfig("bfsk", symbol_rate=1e-6, sample_rate=48000, f0=17500, f1=18500)
+        with pytest.raises(ValueError, match="sample limit"):
+            sample_count(522, cfg)
+
+    def test_integer_grid_returns_the_rows_unmasked(self):
+        bits = random_bits(random.Random(4), 50)
+        samples = _synthesize(bits, BFSK).samples
+        width = math.ceil(BFSK.samples_per_symbol)
+        lengths = np.diff(_symbol_boundaries(len(bits), BFSK))
+        rows = samples.reshape(len(bits), width)
+        assert np.array_equal(rows[np.arange(width) < lengths[:, None]], samples)
+        assert samples.base is not None  # a view of the rows, not a masked copy
 
 
 class TestEventTraces:
