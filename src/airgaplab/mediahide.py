@@ -17,6 +17,7 @@ one image, while reads and distinct images need no coordination.
 
 from __future__ import annotations
 
+import mmap
 import struct
 from contextlib import suppress
 from dataclasses import dataclass, field
@@ -84,8 +85,11 @@ _NAME_CHARS = set("ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789!#$%&'()-@^_`{}~")
 class FatImage:
     """A raw FAT16 volume plus its parsed geometry.
 
-    `data` is a fixed-length writable memoryview; `create_image` backs it with
-    `np.zeros`, so a fresh image costs only the pages it writes.
+    `data` is a fixed-length writable memoryview.  `create_image` backs it
+    with its own private anonymous mapping: the kernel zero-fills a page on
+    first write and unmaps them all when the image is dropped, so a fresh
+    image of any size costs only the pages it writes, however many images
+    came before it (a heap block reused by calloc is zeroed byte by byte).
     """
 
     data: memoryview
@@ -189,7 +193,9 @@ def create_image(total_size: int) -> FatImage:
             break
         fat_sectors = needed
 
-    img = np.zeros(total_size, np.uint8).data
+    # Private, not the default shared mapping: reading an untouched shared
+    # (shmem) page allocates it, a private one maps the zero page.
+    img = memoryview(mmap.mmap(-1, total_size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS))
     small = total_sectors < 0x10000  # else the 32-bit total-sectors field holds it
     _BOOT.pack_into(
         img, 0, b"\xEB\x3C\x90", b"MSDOS5.0", BYTES_PER_SECTOR, SECTORS_PER_CLUSTER,

@@ -340,22 +340,23 @@ def trace_demodulate(trace: EventTrace, on_ms: float, off_ms: float) -> list[int
         raise ValueError("slot durations must be positive and finite")
     if not trace.events:
         raise EmptyTrace("trace contains no events")
-    slot = float(on_ms) + float(off_ms)
-    bits: list[int] = []
-    prev_on = False
-    for state, dur in trace.events:
-        if dur < 0:
-            raise ValueError("negative event duration")
-        if state == "on":
-            bits.extend([1] * max(1, int(round(dur / on_ms))))
-            prev_on = True
-        elif state == "off":
-            tail = off_ms if prev_on else 0.0
-            bits.extend([0] * max(0, int(round((dur - tail) / slot))))
-            prev_on = False
-        else:
-            raise ValueError(f"unknown event state {state!r}")
-    return bits
+    states, durations = zip(*trace.events)
+    on = np.array([state == "on" for state in states])
+    known = on | np.array([state == "off" for state in states])
+    if not known.all():
+        raise ValueError(f"unknown event state {states[known.argmin()]!r}")
+    dur = np.array(durations, np.float64)
+    if not np.isfinite(dur).all():
+        raise ValueError("non-finite event duration")
+    if (dur < 0).any():
+        raise ValueError("negative event duration")
+    # An off event right after an on event begins with that slot's off part.
+    tail = np.where(np.r_[False, on[:-1]], float(off_ms), 0.0)
+    slots = np.where(on, np.maximum(1, np.rint(dur / on_ms)),
+                     np.maximum(0, np.rint((dur - tail) / (float(on_ms) + float(off_ms)))))
+    if slots.sum() > MAX_TX_SAMPLES:
+        raise ValueError(f"trace of {slots.sum():.0f} slots exceeds the {MAX_TX_SAMPLES}-slot limit")
+    return np.repeat(on.astype(np.uint8), slots.astype(np.int64)).tolist()
 
 
 # ---- file formats ----

@@ -80,6 +80,21 @@ for _i in range(255):
 for _i in range(255, 512):
     GF_EXP[_i] = GF_EXP[_i - 255]
 
+# numpy copies for the table expressions.  The log of 0 is a sentinel past
+# any sum of two real logs (each at most 254), and the exp table reads 0 from
+# there on, so _EXP[_LOG[a] + _LOG[b]] == gf_mul(a, b) with no zero masking.
+_LOG_ZERO = 512
+_EXP = np.zeros(2 * _LOG_ZERO + 1, np.uint8)
+_EXP[:512] = GF_EXP
+_LOG = np.array(GF_LOG, np.intp)
+_LOG[0] = _LOG_ZERO
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """Flag a cached array read-only, since every caller shares it."""
+    a.flags.writeable = False
+    return a
+
 
 def gf_mul(a: int, b: int) -> int:
     if a == 0 or b == 0:
@@ -115,16 +130,43 @@ def rs_generator(degree: int) -> tuple[int, ...]:
     return tuple(reversed(gen))
 
 
+# Log-form parity rows per RS degree: row p is the parity of a lone 1 byte p
+# places before the end of the data, x^(p + degree) mod g(x).  Grown on
+# demand to the longest block encoded so far.
+_PARITY_ROWS: dict[int, np.ndarray] = {}
+
+
+def _parity_rows(degree: int, count: int) -> np.ndarray:
+    rows = _PARITY_ROWS.get(degree, np.empty((0, degree), np.intp))
+    if len(rows) < count:
+        gen = rs_generator(degree)[1:]
+        # x^(degree-1) is its own remainder; each row is the last times x mod g(x).
+        rem = _EXP[rows[-1]].tolist() if len(rows) else [1] + [0] * (degree - 1)
+        new = []
+        for _ in range(count - len(rows)):
+            factor = rem[0]
+            rem = [r ^ gf_mul(g, factor) for r, g in zip(rem[1:] + [0], gen)]
+            new.append(rem)
+        rows = _PARITY_ROWS[degree] = _read_only(np.concatenate([rows, _LOG[new]]))
+    return rows
+
+
 def rs_encode(data: list[int], degree: int) -> list[int]:
-    """Reed-Solomon parity codewords for a data block."""
-    gen = rs_generator(degree)
-    rem = [0] * degree
-    for byte in data:
-        factor = byte ^ rem[0]
-        rem = rem[1:] + [0]
-        for i in range(degree):
-            rem[i] ^= gf_mul(gen[i + 1], factor)
-    return rem
+    """Reed-Solomon parity codewords for a data block: the XOR over data
+    bytes of each byte times the parity row of its position."""
+    rows = _parity_rows(degree, len(data))[: len(data)][::-1]
+    return np.bitwise_xor.reduce(_EXP[_LOG[data][:, None] + rows], axis=0).tolist()
+
+
+@lru_cache(maxsize=None)
+def _syndrome_exponents(n: int, count: int) -> np.ndarray:
+    """j * (n - 1 - i) mod 255 for syndrome j and byte i of an n-byte block."""
+    return _read_only(np.arange(count)[:, None] * np.arange(n - 1, -1, -1) % 255)
+
+
+def _syndromes(block: list[int], count: int) -> np.ndarray:
+    """S_j = block(alpha^j) for j < count, block[0] the highest-degree coefficient."""
+    return np.bitwise_xor.reduce(_EXP[_LOG[block] + _syndrome_exponents(len(block), count)], axis=1)
 
 
 def rs_correct(block: list[int], ec_count: int) -> tuple[list[int], int]:
@@ -134,9 +176,10 @@ def rs_correct(block: list[int], ec_count: int) -> tuple[list[int], int]:
     UncorrectableErrors when the error pattern exceeds the code's budget.
     """
     n = len(block)
-    syndromes = [gf_poly_eval(list(reversed(block)), GF_EXP[j]) for j in range(ec_count)]
-    if not any(syndromes):
+    syndromes = _syndromes(block, ec_count)
+    if not syndromes.any():
         return list(block), 0
+    syndromes = syndromes.tolist()
 
     # Berlekamp-Massey: find the error locator sigma (ascending powers).
     sigma = [1]
@@ -196,8 +239,7 @@ def rs_correct(block: list[int], ec_count: int) -> tuple[list[int], int]:
         num = gf_mul(gf_poly_eval(omega, x_inv), GF_EXP[exponent])
         corrected[idx] ^= gf_mul(num, gf_inv(denom))
 
-    check = [gf_poly_eval(list(reversed(corrected)), GF_EXP[j]) for j in range(ec_count)]
-    if any(check):
+    if _syndromes(corrected, ec_count).any():
         raise UncorrectableErrors("residual syndromes after correction")
     return corrected, n_errors
 
@@ -345,29 +387,31 @@ def _split_block_lengths(version: int, ec_level: str) -> tuple[list[int], int]:
 
 
 @lru_cache(maxsize=None)
-def _interleave_slots(version: int, ec_level: str) -> tuple[tuple[int, int], ...]:
-    """(block, index into that block's data + parity) of each placed codeword.
+def _stream_order(version: int, ec_level: str) -> np.ndarray:
+    """Index into the concatenated blocks (each one's data, then its parity)
+    of every codeword in placement order.
 
     Data codewords go column by column across the blocks (the shorter
     blocks skip the last column), then the parity codewords likewise.
     """
     lengths, ecc = _split_block_lengths(version, ec_level)
-    data = [(b, i) for i in range(max(lengths)) for b, length in enumerate(lengths) if i < length]
-    parity = [(b, length + i) for i in range(ecc) for b, length in enumerate(lengths)]
-    return tuple(data + parity)
+    starts = [sum(lengths[:b]) + b * ecc for b in range(len(lengths))]
+    data = [starts[b] + i for i in range(max(lengths)) for b, length in enumerate(lengths) if i < length]
+    parity = [starts[b] + length + i for i in range(ecc) for b, length in enumerate(lengths)]
+    return _read_only(np.array(data + parity))
 
 
-def interleave(data_codewords: list[int], version: int, ec_level: str) -> list[int]:
+def interleave(data_codewords: list[int], version: int, ec_level: str) -> np.ndarray:
     """Block-split, append RS parity, and interleave for placement."""
     lengths, ecc = _split_block_lengths(version, ec_level)
     blocks = []
     k = 0
     for length in lengths:
         chunk = data_codewords[k : k + length]
-        blocks.append(chunk + rs_encode(chunk, ecc))
+        blocks += chunk + rs_encode(chunk, ecc)
         k += length
     assert k == len(data_codewords)
-    return [blocks[b][i] for b, i in _interleave_slots(version, ec_level)]
+    return np.array(blocks, np.uint8)[_stream_order(version, ec_level)]
 
 
 # ---- matrix construction ----
@@ -419,23 +463,30 @@ def _draw_format(modules: list[list[bool]], ec_level: str, mask: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def function_mask(version: int) -> tuple[tuple[bool, ...], ...]:
-    """Grid marking modules that carry structure rather than data bits.
-
-    These are exactly the cells the function-pattern and format drawing
-    writes; format positions do not depend on level or mask.
-    """
+def _function_template(version: int) -> tuple[np.ndarray, np.ndarray]:
+    """(reserved, dark) read-only grids of a version: the modules that carry
+    structure rather than data bits, and the dark ones among them.  Format
+    modules are reserved but read light until `_draw_format` writes them."""
     size = size_for_version(version)
     grid = [[None] * size for _ in range(size)]
     _draw_function_patterns(grid, version)
-    _draw_format(grid, "L", 0)
-    return tuple(tuple(cell is not None for cell in row) for row in grid)
+    for positions in _format_positions(size):
+        for x, y in positions:
+            grid[y][x] = False
+    reserved = np.array([[cell is not None for cell in row] for row in grid])
+    dark = np.array([[cell is True for cell in row] for row in grid])
+    return _read_only(reserved), _read_only(dark)
+
+
+def function_mask(version: int) -> np.ndarray:
+    """Bool grid marking modules that carry structure rather than data bits."""
+    return _function_template(version)[0]
 
 
 def _zigzag_coords(version: int):
     """Data-module coordinates in placement order."""
     size = size_for_version(version)
-    is_fn = function_mask(version)
+    is_fn = function_mask(version).tolist()
     right = size - 1
     while right >= 1:
         if right == 6:
@@ -450,28 +501,25 @@ def _zigzag_coords(version: int):
 
 
 @lru_cache(maxsize=None)
-def _data_cells(version: int, mask: int) -> tuple[tuple[int, int, bool], ...]:
-    """(x, y, flip) of each data module in placement order; the mask
-    pattern inverts a module where `flip` is set."""
-    return tuple((x, y, MASK_PATTERNS[mask](x, y) == 0) for x, y in _zigzag_coords(version))
+def _data_cells(version: int, mask: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ys, xs, flips) of the data modules in placement order; the mask
+    pattern inverts a module where `flips` is set."""
+    xs, ys = np.array(list(_zigzag_coords(version))).T
+    return tuple(map(_read_only, (ys, xs, MASK_PATTERNS[mask](xs, ys) == 0)))
 
 
-def _place_codewords(modules: list[list[bool]], codewords: list[int], version: int, mask: int) -> None:
-    cells = _data_cells(version, mask)
-    bits = np.unpackbits(np.frombuffer(bytes(codewords), np.uint8)).tolist()
-    bits += [0] * (len(cells) - len(bits))  # remainder bits
-    for (x, y, flip), bit in zip(cells, bits):
-        modules[y][x] = (bit == 1) ^ flip
+def _place_codewords(modules: np.ndarray, codewords: np.ndarray, version: int, mask: int) -> None:
+    ys, xs, flips = _data_cells(version, mask)
+    modules[ys, xs] = np.unpackbits(codewords, count=len(ys)) ^ flips  # zero remainder bits past the codewords
 
 
 def matrix_from_data_codewords(data_codewords: list[int], version: int, ec_level: str) -> QrMatrix:
     """Build the module grid (mask pattern 0) from assembled data codewords."""
-    size = size_for_version(version)
-    modules = [[False] * size for _ in range(size)]
-    _draw_function_patterns(modules, version)
+    modules = _function_template(version)[1].copy()
     _place_codewords(modules, interleave(data_codewords, version, ec_level), version, mask=0)
-    _draw_format(modules, ec_level, 0)
-    return QrMatrix(version, ec_level, modules)
+    grid = modules.tolist()
+    _draw_format(grid, ec_level, 0)
+    return QrMatrix(version, ec_level, grid)
 
 
 def select_version(payload_len: int, ec_level: str, extra_pad_bytes: int = 0) -> int:
@@ -517,15 +565,18 @@ def decode_data_codewords(m: QrMatrix) -> tuple[list[int], str]:
     """Unmask, deinterleave and RS-correct every block; returns the data
     codewords plus the recovered level."""
     level, mask = read_format(m)
-    cells = _data_cells(m.version, mask)[: TOTAL_CODEWORDS[m.version] * 8]
-    codewords = np.packbits([m.modules[y][x] ^ flip for x, y, flip in cells]).tolist()
+    ys, xs, flips = _data_cells(m.version, mask)
+    n_bits = TOTAL_CODEWORDS[m.version] * 8
+    stream = np.packbits(np.array(m.modules, bool)[ys[:n_bits], xs[:n_bits]] ^ flips[:n_bits])
+    concatenated = np.empty_like(stream)
+    concatenated[_stream_order(m.version, level)] = stream
+    blocks = concatenated.tolist()
     lengths, ecc = _split_block_lengths(m.version, level)
-    blocks = [[0] * (length + ecc) for length in lengths]
-    for (b, i), codeword in zip(_interleave_slots(m.version, level), codewords, strict=True):
-        blocks[b][i] = codeword
     out: list[int] = []
-    for block, length in zip(blocks, lengths):
-        out.extend(rs_correct(block, ecc)[0][:length])
+    start = 0
+    for length in lengths:
+        out += rs_correct(blocks[start : start + length + ecc], ecc)[0][:length]
+        start += length + ecc
     return out, level
 
 

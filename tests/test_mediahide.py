@@ -1,13 +1,18 @@
 """FAT16 media-hiding tests: geometry, transparency, slack and entry payloads."""
 
+import os
 import random
 import struct
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from airgaplab import mediahide
 from airgaplab.errors import (
     AirgapError,
     DiskFull,
@@ -90,6 +95,32 @@ class TestCreateImage:
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         assert faults < 1024  # zeroing every byte up front faults in all 16 384 pages
         assert load_image(bytes(img.data)).data == img.data
+
+    def test_dropped_images_leave_nothing_resident(self):
+        """Each image gives its memory back when dropped.  A 4 or 16 MiB image
+        carved from a heap block that an earlier image freed is zeroed byte
+        by byte on creation and stays resident after the drop.  A fresh
+        interpreter, so that the other tests' heap does not hide it."""
+        if not Path("/proc/self/status").exists():
+            pytest.skip("no /proc/self/status to read VmRSS from")
+        script = """
+from pathlib import Path
+from airgaplab.mediahide import create_image
+
+def rss_kib():
+    status = Path("/proc/self/status").read_text().splitlines()
+    return int(next(line for line in status if line.startswith("VmRSS:")).split()[1])
+
+before = rss_kib()
+for _ in range(3):
+    for mib in (4, 16):
+        create_image(mib << 20)
+print(rss_kib() - before)
+"""
+        src = str(Path(mediahide.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+        assert int(result.stdout) < 8 * 1024
 
 
 class TestLoadImage:

@@ -4,6 +4,7 @@ import io
 import math
 import random
 import tempfile
+import tracemalloc
 import wave
 from fractions import Fraction
 from pathlib import Path
@@ -24,6 +25,7 @@ from airgaplab.errors import (
 )
 from airgaplab.keyframe import frame_decode, frame_encode
 from airgaplab.modem import (
+    MAX_TX_SAMPLES,
     MIN_SAMPLES_PER_SYMBOL,
     EventTrace,
     ModemConfig,
@@ -493,6 +495,36 @@ class TestEventTraces:
         with pytest.raises(EmptyTrace):
             trace_demodulate(EventTrace([]), 50, 50)
 
+    @pytest.mark.parametrize("state", ["on", "off"])
+    @pytest.mark.parametrize("duration", [math.inf, -math.inf, math.nan])
+    def test_non_finite_duration_rejected(self, state, duration):
+        with pytest.raises(ValueError, match="non-finite"):
+            trace_demodulate(EventTrace([("on", 50.0), (state, duration)]), 50, 50)
+
+    @pytest.mark.parametrize("state", ["on", "off"])
+    def test_oversized_trace_rejected_before_allocating(self, state):
+        events = [(state, 100.0 * (MAX_TX_SAMPLES + 1)), (state, 1e18)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="slot limit"):
+                trace_demodulate(EventTrace(events), 50, 50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        events=st.lists(st.tuples(st.sampled_from(["on", "off"]),
+                                  st.one_of(st.floats(0, 2000), st.integers(0, 80).map(lambda h: 12.5 * h))),
+                        min_size=1, max_size=40),
+        on_ms=st.sampled_from([5, 25.0, 50, 73.5]),
+        off_ms=st.sampled_from([5, 25.0, 50, 73.5]),
+    )
+    def test_equals_event_by_event_reference(self, events, on_ms, off_ms):
+        """Durations on and between half-slot ties: round half to even, as the reference does."""
+        assert trace_demodulate(EventTrace(events), on_ms, off_ms) == reference_trace_demodulate(events, on_ms, off_ms)
+
     def test_normalized_trace_still_decodes_when_runs_are_short(self):
         bits = [1, 0, 1, 1, 0, 1, 0, 0, 1, 1]
         # trace_modulate(bits, 50, 50) with each run of equal states merged into one event
@@ -500,6 +532,21 @@ class TestEventTraces:
                             ("off", 150.0), ("on", 50.0), ("off", 250.0), ("on", 50.0), ("off", 50.0),
                             ("on", 50.0), ("off", 50.0)])
         assert trace_demodulate(trace, 50, 50) == bits
+
+
+def reference_trace_demodulate(events, on_ms, off_ms) -> list[int]:
+    """Reference: the trace re-slotted one event at a time."""
+    slot = float(on_ms) + float(off_ms)
+    bits: list[int] = []
+    prev_on = False
+    for state, dur in events:
+        if state == "on":
+            bits.extend([1] * max(1, int(round(dur / on_ms))))
+        else:
+            tail = off_ms if prev_on else 0.0
+            bits.extend([0] * max(0, int(round((dur - tail) / slot))))
+        prev_on = state == "on"
+    return bits
 
 
 @st.composite

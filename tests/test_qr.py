@@ -12,6 +12,7 @@ from airgaplab.optstego import EC_LEVELS, from_pbm, qr_decode, qr_encode, stego_
 from airgaplab.optstego.qr import (
     ECC_PER_BLOCK,
     GF_EXP,
+    MASK_PATTERNS,
     NUM_BLOCKS,
     TOTAL_CODEWORDS,
     QrMatrix,
@@ -29,7 +30,9 @@ from airgaplab.optstego.qr import (
     rs_correct,
     rs_encode,
     rs_generator,
+    _format_positions,
     _split_block_lengths,
+    _syndromes,
     _zigzag_coords,
 )
 
@@ -106,6 +109,70 @@ class TestGf256:
             with pytest.raises(UncorrectableErrors):
                 fixed, _ = rs_correct(corrupted, degree)
                 assert fixed == block  # a silent miscorrection would trip here
+
+
+def _shift_register_parity(data: list[int], degree: int) -> list[int]:
+    """Reference: systematic RS parity from a shift register fed one data byte at a time."""
+    gen = rs_generator(degree)
+    rem = [0] * degree
+    for byte in data:
+        factor = byte ^ rem[0]
+        rem = rem[1:] + [0]
+        for i in range(degree):
+            rem[i] ^= gf_mul(gen[i + 1], factor)
+    return rem
+
+
+# Every (data length, parity length) of a block in versions 1-10 at every level.
+BLOCK_SHAPES = sorted({
+    (length, ecc)
+    for level in EC_LEVELS
+    for version in range(1, 11)
+    for lengths, ecc in [_split_block_lengths(version, level)]
+    for length in lengths
+})
+
+
+def _random_bytes(rng: random.Random, n: int) -> list[int]:
+    """Random bytes, a third of them zero (the log table's special case)."""
+    return [rng.randrange(256) if rng.random() < 2 / 3 else 0 for _ in range(n)]
+
+
+class TestTableOracles:
+    """The log/exp-table RS paths against scalar GF(256) references."""
+
+    @pytest.mark.parametrize("length,ecc", BLOCK_SHAPES)
+    def test_parity_equals_shift_register(self, length, ecc):
+        rng = random.Random(length << 8 | ecc)
+        for _ in range(6):
+            data = _random_bytes(rng, length)
+            assert rs_encode(data, ecc) == _shift_register_parity(data, ecc)
+        assert rs_encode([0] * length, ecc) == [0] * ecc
+
+    @pytest.mark.parametrize("length,ecc", BLOCK_SHAPES)
+    def test_syndromes_equal_horner(self, length, ecc):
+        rng = random.Random(length << 8 | ecc)
+        for _ in range(6):
+            block = _random_bytes(rng, length + ecc)
+            horner = [gf_poly_eval(block[::-1], GF_EXP[j]) for j in range(ecc)]
+            assert _syndromes(block, ecc).tolist() == horner
+
+    @pytest.mark.parametrize("mask", range(8))
+    def test_reader_unmasks_every_pattern(self, mask):
+        """A symbol re-masked cell by cell with the scalar mask formulas
+        decodes to its text."""
+        rng = random.Random(mask)
+        for version in range(1, 11):
+            text = bytes(rng.randrange(256) for _ in range(byte_mode_capacity(version, "Q")))
+            m = matrix_from_data_codewords(assemble_data_codewords(text, version, "Q"), version, "Q")
+            for x, y in _zigzag_coords(version):
+                if (MASK_PATTERNS[0](x, y) == 0) != (MASK_PATTERNS[mask](x, y) == 0):
+                    m.modules[y][x] = not m.modules[y][x]
+            word = format_code("Q", mask)
+            for positions in _format_positions(m.size):
+                for i, (x, y) in enumerate(positions):
+                    m.modules[y][x] = (word >> i) & 1 == 1
+            assert qr_decode(m) == text
 
 
 class TestCapacity:
