@@ -1,6 +1,6 @@
 """Optical channel: QR codec, padding-codeword steganography, invisible overlay."""
 
-from .invisible import GrayImage, from_pgm, invisible_embed, invisible_extract, to_pgm
+from .invisible import GrayImage, invisible_embed, invisible_extract
 from .qr import (
     EC_LEVELS,
     MAX_VERSION,
@@ -23,7 +23,6 @@ __all__ = [
     "QrMatrix",
     "byte_mode_capacity",
     "from_pbm",
-    "from_pgm",
     "invisible_embed",
     "invisible_extract",
     "matrix_from_modules",
@@ -33,5 +32,4 @@ __all__ = [
     "stego_embed",
     "stego_extract",
     "to_pbm",
-    "to_pgm",
 ]

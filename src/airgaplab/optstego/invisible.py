@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import CarrierTooSmall, MalformedInput
-from .qr import QrMatrix, matrix_from_modules, read_netpbm, size_for_version
+from ..errors import CarrierTooSmall
+from .qr import QrMatrix, matrix_from_modules, size_for_version
 
 MIN_AMPLITUDE = 1
 MAX_AMPLITUDE = 16
@@ -116,25 +116,3 @@ def invisible_extract(
     modules = block_sum / block_area < (outer_sum - block_sum) / (outer_area - block_area)
     return matrix_from_modules(modules.tolist())
 
-
-# ---- PGM serialization (portable graymap, ASCII P2, maxval 255) ----
-
-
-def to_pgm(img: GrayImage) -> str:
-    lines = ["P2", f"{img.width} {img.height}", "255"]
-    for row in img.pixels:
-        lines.append(" ".join(str(int(v)) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def from_pgm(text: str) -> GrayImage:
-    (width, height, maxval), raster = read_netpbm(text, "P2", 3)
-    if maxval != 255:
-        raise MalformedInput("expected maxval 255")
-    values = raster[: width * height]
-    if len(values) < width * height:
-        raise MalformedInput("PGM pixel data truncated")
-    if not all(v.isascii() and v.isdecimal() and int(v) <= 255 for v in values):
-        raise MalformedInput("PGM pixels must be integers in 0..255")
-    pixels = np.array([int(v) for v in values], dtype=np.uint8).reshape(height, width)
-    return GrayImage(width, height, pixels)

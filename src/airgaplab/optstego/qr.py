@@ -300,11 +300,13 @@ def alignment_positions(version: int) -> list[int]:
     return positions
 
 
-def _format_positions(size: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """(x, y) of format bits 0-14 in the copy beside the top-left finder, then in the split copy."""
-    copy1 = [(8, i) for i in range(6)] + [(8, 7), (8, 8), (7, 8)] + [(14 - i, 8) for i in range(9, 15)]
-    copy2 = [(size - 1 - i, 8) for i in range(8)] + [(8, size - 15 + i) for i in range(8, 15)]
-    return copy1, copy2
+@lru_cache(maxsize=None)
+def _format_cells(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ys, xs) of format bits 0-14, each 2x15: row 0 is the copy beside the
+    top-left finder, row 1 the copy split between the other two."""
+    ys = [[*range(6), 7, 8, 8, *[8] * 6], [*[8] * 8, *range(size - 7, size)]]
+    xs = [[*[8] * 8, 7, *range(5, -1, -1)], [*range(size - 1, size - 9, -1), *[8] * 7]]
+    return _read_only(np.array(ys)), _read_only(np.array(xs))
 
 
 def _bch_remainder(data: int, n_rounds: int, generator: int, top_shift: int) -> int:
@@ -417,65 +419,38 @@ def interleave(data_codewords: list[int], version: int, ec_level: str) -> np.nda
 # ---- matrix construction ----
 
 
-def _draw_finder(modules: list[list[bool]], cx: int, cy: int) -> None:
-    size = len(modules)
-    for dy in range(-4, 5):
-        for dx in range(-4, 5):
-            x, y = cx + dx, cy + dy
-            if 0 <= x < size and 0 <= y < size:
-                modules[y][x] = max(abs(dx), abs(dy)) not in (2, 4)
-
-
-def _draw_alignment(modules: list[list[bool]], cx: int, cy: int) -> None:
-    for dy in range(-2, 3):
-        for dx in range(-2, 3):
-            modules[cy + dy][cx + dx] = max(abs(dx), abs(dy)) != 1
-
-
-def _draw_function_patterns(modules: list[list[bool]], version: int) -> None:
-    size = len(modules)
-    for i in range(size):
-        modules[i][6] = i % 2 == 0
-        modules[6][i] = i % 2 == 0
-    _draw_finder(modules, 3, 3)
-    _draw_finder(modules, size - 4, 3)
-    _draw_finder(modules, 3, size - 4)
-    centers = alignment_positions(version)
-    skips = {(centers[0], centers[0]), (centers[0], centers[-1]), (centers[-1], centers[0])} if centers else set()
-    for ay in centers:
-        for ax in centers:
-            if (ax, ay) not in skips:
-                _draw_alignment(modules, ax, ay)
-    modules[size - 8][8] = True
-    if version >= 7:
-        vcode = version_code(version)
-        for i in range(18):
-            bit = (vcode >> i) & 1 == 1
-            modules[i // 3][size - 11 + i % 3] = bit
-            modules[size - 11 + i % 3][i // 3] = bit
-
-
-def _draw_format(modules: list[list[bool]], ec_level: str, mask: int) -> None:
-    code = _FORMAT_WORDS[ec_level, mask]
-    for positions in _format_positions(len(modules)):
-        for i, (x, y) in enumerate(positions):
-            modules[y][x] = (code >> i) & 1 == 1
+# Chebyshev distance from the centre of a 9x9 square.  A finder is dark at
+# distances 0, 1 and 3 and its separator light at 4; clipped to the symbol,
+# the square covers finder plus separator in each corner.  An alignment
+# pattern is dark at 0 and 2.
+_RINGS = np.maximum(*np.abs(np.mgrid[-4:5, -4:5]))
+_FINDER = _read_only(~np.isin(_RINGS, (2, 4)))
+_ALIGNMENT = _read_only(_RINGS[2:7, 2:7] != 1)
 
 
 @lru_cache(maxsize=None)
 def _function_template(version: int) -> tuple[np.ndarray, np.ndarray]:
     """(reserved, dark) read-only grids of a version: the modules that carry
     structure rather than data bits, and the dark ones among them.  Format
-    modules are reserved but read light until `_draw_format` writes them."""
+    modules are reserved but read light until the encoder writes them."""
     size = size_for_version(version)
-    grid = [[None] * size for _ in range(size)]
-    _draw_function_patterns(grid, version)
-    for positions in _format_positions(size):
-        for x, y in positions:
-            grid[y][x] = False
-    reserved = np.array([[cell is not None for cell in row] for row in grid])
-    dark = np.array([[cell is True for cell in row] for row in grid])
-    return _read_only(reserved), _read_only(dark)
+    grid = np.full((size, size), -1, np.int8)  # -1 until a pattern claims the module
+    grid[6, :] = grid[:, 6] = np.arange(size) % 2 == 0
+    grid[:8, :8] = _FINDER[1:, 1:]
+    grid[:8, -8:] = _FINDER[1:, :-1]
+    grid[-8:, :8] = _FINDER[:-1, 1:]
+    centers = alignment_positions(version)
+    for ay in centers:
+        for ax in centers:
+            if (ax, ay) not in ((6, 6), (6, centers[-1]), (centers[-1], 6)):  # finder corners
+                grid[ay - 2 : ay + 3, ax - 2 : ax + 3] = _ALIGNMENT
+    grid[size - 8, 8] = 1
+    if version >= 7:
+        bits = (version_code(version) >> np.arange(18) & 1).reshape(6, 3)
+        grid[:6, -11:-8] = bits
+        grid[-11:-8, :6] = bits.T
+    grid[_format_cells(size)] = 0
+    return _read_only(grid >= 0), _read_only(grid == 1)
 
 
 def function_mask(version: int) -> np.ndarray:
@@ -517,9 +492,8 @@ def matrix_from_data_codewords(data_codewords: list[int], version: int, ec_level
     """Build the module grid (mask pattern 0) from assembled data codewords."""
     modules = _function_template(version)[1].copy()
     _place_codewords(modules, interleave(data_codewords, version, ec_level), version, mask=0)
-    grid = modules.tolist()
-    _draw_format(grid, ec_level, 0)
-    return QrMatrix(version, ec_level, grid)
+    modules[_format_cells(len(modules))] = _FORMAT_WORDS[ec_level, 0] >> np.arange(15) & 1
+    return QrMatrix(version, ec_level, modules.tolist())
 
 
 def select_version(payload_len: int, ec_level: str, extra_pad_bytes: int = 0) -> int:
@@ -548,9 +522,10 @@ def qr_encode(text: bytes, ec_level: str = "M") -> QrMatrix:
 def read_format(m: QrMatrix) -> tuple[str, int]:
     """Recover (ec_level, mask) from the nearest format word in either
     copy; a tie goes to copy 1, then to the earlier table entry."""
+    ys, xs = _format_cells(m.size)
     best = None
-    for positions in _format_positions(m.size):
-        received = sum(1 << i for i, (x, y) in enumerate(positions) if m.modules[y][x])
+    for copy_ys, copy_xs in zip(ys.tolist(), xs.tolist()):
+        received = sum(1 << i for i, (y, x) in enumerate(zip(copy_ys, copy_xs)) if m.modules[y][x])
         for (level, mask), word in _FORMAT_WORDS.items():
             distance = (received ^ word).bit_count()
             if best is None or distance < best[0]:
@@ -610,6 +585,8 @@ def matrix_from_modules(modules: list[list[bool]]) -> QrMatrix:
     version = (size - 17) // 4
     if (size - 17) % 4 or not MIN_VERSION <= version <= MAX_VERSION:
         raise MalformedInput(f"symbol side {size} is not a version {MIN_VERSION}..{MAX_VERSION} QR")
+    if any(len(row) != size for row in modules):
+        raise MalformedInput("QR symbol must be square")
     m = QrMatrix(version, None, modules)
     try:
         m.ec_level = read_format(m)[0]
@@ -628,27 +605,23 @@ def to_pbm(m: QrMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_netpbm(text: str, magic: str, n_fields: int) -> tuple[list[int], list[str]]:
-    """Split an ASCII netpbm file into its header integers and raster tokens.
+def from_pbm(text: str) -> QrMatrix:
+    """Parse an ASCII PBM into a symbol.
 
-    Comments run from '#' to the end of the line.  A wrong magic number or
-    a header with fewer than `n_fields` non-negative integers (ASCII digits
-    only) raises MalformedInput.
+    Comments run from '#' to the end of the line.  The header is the magic
+    number P1 and two non-negative integers in ASCII digits; each pixel is
+    one token, 0 or 1.  Anything else raises MalformedInput.
     """
     tokens: list[str] = []
     for line in text.splitlines():
         tokens.extend(line.split("#", 1)[0].split())
-    if not tokens or tokens[0] != magic:
-        raise MalformedInput(f"not an ASCII netpbm ({magic}) file")
-    fields = tokens[1 : 1 + n_fields]
-    if len(fields) < n_fields or not all(f.isascii() and f.isdecimal() for f in fields):
-        raise MalformedInput(f"{magic} header needs {n_fields} non-negative integers, got {fields}")
-    return [int(f) for f in fields], tokens[1 + n_fields :]
-
-
-def from_pbm(text: str) -> QrMatrix:
-    (width, height), raster = read_netpbm(text, "P1", 2)
-    bits = raster[: width * height]
+    if not tokens or tokens[0] != "P1":
+        raise MalformedInput("not an ASCII netpbm (P1) file")
+    fields = tokens[1:3]
+    if len(fields) < 2 or not all(f.isascii() and f.isdecimal() for f in fields):
+        raise MalformedInput(f"P1 header needs 2 non-negative integers, got {fields}")
+    width, height = map(int, fields)
+    bits = tokens[3 : 3 + width * height]
     if len(bits) < width * height:
         raise MalformedInput("PBM pixel data truncated")
     if any(bit not in ("0", "1") for bit in bits):

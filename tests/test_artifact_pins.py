@@ -1,11 +1,11 @@
 """Byte pins: seeded QR, FAT16, bitstream and transmit WAV artifacts hash to
 recorded values.
 
-Drift in the QR interleave or data-cell order, the Hamming(7,4) tables, the
-FAT16 boot sector (16-bit and 32-bit total-sectors forms), entry and
-hidden-payload layout, or the OOK/BFSK transmitter's samples changes a hash
-here.  A last test pins the Python types at the API boundary, which callers
-serialise as JSON.
+Drift in the QR interleave, data-cell order, function patterns or format
+words, the Hamming(7,4) tables, the FAT16 boot sector (16-bit and 32-bit
+total-sectors forms), entry and hidden-payload layout, or the OOK/BFSK
+transmitter's samples changes a hash here.  A last test pins the Python
+types at the API boundary, which callers serialise as JSON.
 """
 
 import hashlib
@@ -27,10 +27,22 @@ from airgaplab.modem import (
     trace_modulate,
     write_wav,
 )
-from airgaplab.optstego import GrayImage, from_pbm, invisible_embed, invisible_extract, qr_encode, stego_embed, to_pbm
+from airgaplab.optstego import (
+    EC_LEVELS,
+    GrayImage,
+    from_pbm,
+    invisible_embed,
+    invisible_extract,
+    qr_encode,
+    stego_embed,
+    to_pbm,
+)
 from airgaplab.optstego.qr import byte_mode_capacity
 
 QR_V3_TO_V10_SHA256 = "3012eb9416a1ffb01914157c17bbcc6d8caaf2ad749fbfa246e5b0a62772d097"
+# PBM bytes of a full-capacity symbol at every version 1-10 and level L/M/Q/H:
+# function patterns, version bits and all 32 format words in both copies.
+QR_EVERY_VERSION_AND_LEVEL_SHA256 = "fc0fc3765344c3daf0174d4d285a54f0a70af3ace01d1945a668dc751cf3b379"
 IMAGE_SHA256 = {
     4: "6742ef089bd6a9694d177c7e4ef95d308d08975f1a9f1fbe139367803d1b4900",
     16: "85b3523bc5b88181bb50fc454aa6a73484059781464fd29b505406332767a117",
@@ -80,6 +92,17 @@ def test_seeded_artifacts_keep_their_bytes():
     assert symbols.hexdigest() == QR_V3_TO_V10_SHA256
     assert images == IMAGE_SHA256
     assert hashlib.sha256(frame.encode()).hexdigest() == FRAME_SHA256
+
+
+def test_every_version_and_level_keeps_its_symbol_bytes():
+    rng = random.Random(2018)
+    symbols = hashlib.sha256()
+    for level in EC_LEVELS:
+        for version in range(1, 11):
+            matrix = qr_encode(bytes(rng.randrange(256) for _ in range(byte_mode_capacity(version, level))), level)
+            assert matrix.version == version
+            symbols.update(to_pbm(matrix).encode())
+    assert symbols.hexdigest() == QR_EVERY_VERSION_AND_LEVEL_SHA256
 
 
 @pytest.mark.parametrize("preset", sorted(TRANSMIT_WAV_SHA256))

@@ -11,14 +11,13 @@ from airgaplab.errors import (
     AirgapError,
     CarrierTooSmall,
     MalformedFormatInfo,
-    MalformedInput,
     NoSecret,
     PayloadTooLarge,
     SecretTooLarge,
 )
 from airgaplab.optstego import (
     GrayImage,
-    from_pgm,
+    from_pbm,
     invisible_embed,
     invisible_extract,
     qr_decode,
@@ -26,10 +25,10 @@ from airgaplab.optstego import (
     stego_capacity,
     stego_embed,
     stego_extract,
-    to_pgm,
+    to_pbm,
 )
 from airgaplab.optstego.invisible import RING_MODULES
-from airgaplab.optstego.qr import byte_mode_capacity, size_for_version
+from airgaplab.optstego.qr import QrMatrix, byte_mode_capacity, size_for_version
 
 
 class TestStegoCapacity:
@@ -227,59 +226,30 @@ class TestInvisibleEmbed:
         assert out.pixels.min() == 0 and out.pixels.max() <= 2 + 16
 
 
-class TestPgm:
-    def test_round_trip(self):
-        rng = np.random.default_rng(3)
-        img = GrayImage(17, 9, rng.integers(0, 256, (9, 17), dtype=np.uint8))
-        restored = from_pgm(to_pgm(img))
-        assert restored.width == 17 and restored.height == 9
-        assert np.array_equal(restored.pixels, img.pixels)
-
-    def test_header(self):
-        lines = to_pgm(GrayImage.uniform(3, 2, 7)).splitlines()
-        assert lines[:3] == ["P2", "3 2", "255"]
-
-    def test_rejects_non_pgm(self):
-        with pytest.raises(ValueError):
-            from_pgm("P1\n2 2\n0 0 0 0\n")
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "P2\n2 2\n",  # truncated header
-            "P2\n2 two\n255\n0 0 0 0\n",  # non-integer dimension
-            "P2\n2 2\n15\n0 0 0 0\n",  # maxval other than 255
-            "P2\n2 2\n255\n0 0 0\n",  # truncated raster
-            "P2\n2 2\n255\n0 0 0 256\n",  # value above 255
-            "P2\n2 2\n255\n0 0 0 -1\n",  # negative value
-            "P2\n2 2\n255\n0 0 0 1.5\n",  # non-integer value
-            "P2\n2 2\n255\n0 0 0 \u0663",  # Arabic-Indic digit 3
-            "P2\n\uff12 2\n255\n0 0 0 0\n",  # fullwidth digit 2
-        ],
-    )
-    def test_rejects_malformed(self, text):
-        with pytest.raises(MalformedInput):
-            from_pgm(text)
-
-
-_PGM_SOUP = st.one_of(
-    st.integers(-3, 300).map(str),
-    st.sampled_from(["#", "# note\n", "\n", "\u0663", "\uff12", "\u0662\u0665\u0665"]),
+# Pixel tokens of a real symbol, with each row end kept as a "\n" token so a
+# '#' dropped in comments out only the rest of its row.
+_PBM_PIXELS = " \n ".join(to_pbm(qr_encode(b"soup", "L")).splitlines()[2:]).split(" ")
+_PBM_SOUP = st.one_of(
+    st.integers(-3, 30).map(str),
+    st.sampled_from(["0", "1", "#", "# note\n", "\n", "\u0663", "\uff12", "\u0662\u0661"]),
     st.text(max_size=4),
 )
 
 
 @settings(deadline=None, max_examples=300)
 @given(
-    dims=st.lists(st.one_of(st.integers(0, 4).map(str), _PGM_SOUP), min_size=2, max_size=2),
-    maxval=st.one_of(st.just("255"), _PGM_SOUP),
-    raster=st.lists(st.one_of(st.integers(0, 255).map(str), _PGM_SOUP), max_size=20),
+    dims=st.lists(st.one_of(st.just("21"), _PBM_SOUP), min_size=2, max_size=2),
+    edits=st.lists(st.tuples(st.integers(0, len(_PBM_PIXELS)), st.booleans(), _PBM_SOUP), max_size=4),
 )
-def test_from_pgm_returns_matching_shape_or_raises_airgap_error(dims, maxval, raster):
-    """Token soup after the magic number: a well-shaped image or an AirgapError, nothing else."""
+def test_from_pbm_returns_a_square_symbol_or_raises_airgap_error(dims, edits):
+    """Token soup in the header and raster of a real symbol: a square QrMatrix or an AirgapError, nothing else."""
+    pixels = list(_PBM_PIXELS)
+    for at, replace, token in edits:
+        pixels[at : at + replace] = [token]
     try:
-        img = from_pgm(" ".join(["P2", *dims, maxval, *raster]))
+        m = from_pbm(" ".join(["P1", *dims, "\n", *pixels]))
     except AirgapError:
         return
-    assert isinstance(img, GrayImage)
-    assert img.pixels.shape == (img.height, img.width)
+    assert isinstance(m, QrMatrix)
+    assert m.size == size_for_version(m.version)
+    assert all(len(row) == m.size for row in m.modules)

@@ -30,7 +30,7 @@ from airgaplab.optstego.qr import (
     rs_correct,
     rs_encode,
     rs_generator,
-    _format_positions,
+    _format_cells,
     _split_block_lengths,
     _syndromes,
     _zigzag_coords,
@@ -169,8 +169,9 @@ class TestTableOracles:
                 if (MASK_PATTERNS[0](x, y) == 0) != (MASK_PATTERNS[mask](x, y) == 0):
                     m.modules[y][x] = not m.modules[y][x]
             word = format_code("Q", mask)
-            for positions in _format_positions(m.size):
-                for i, (x, y) in enumerate(positions):
+            ys, xs = _format_cells(m.size)
+            for copy_ys, copy_xs in zip(ys.tolist(), xs.tolist()):
+                for i, (y, x) in enumerate(zip(copy_ys, copy_xs)):
                     m.modules[y][x] = (word >> i) & 1 == 1
             assert qr_decode(m) == text
 
@@ -380,12 +381,20 @@ class TestPbm:
         assert lines[1] == "21 21"
         assert len(lines) == 2 + 21
 
+    def test_comments_are_skipped(self):
+        matrix = qr_encode(b"pbm comments", "Q")
+        magic, dims, *rows = to_pbm(matrix).splitlines()
+        text = "\n".join([magic + "# ASCII bitmap", "# 1 1 0 0", dims, *(row + " # 0 1" for row in rows)])
+        restored = from_pbm(text)
+        assert restored.modules == matrix.modules
+        assert qr_decode(restored) == b"pbm comments"
+
     def test_rejects_non_pbm(self):
         with pytest.raises(ValueError):
             from_pbm("P2\n2 2\n255\n0 0 0 0\n")
 
     @pytest.mark.parametrize(
-        "text",
+        "source",
         [
             "P1\n21\n",  # truncated header
             "P1\n21 x\n",  # non-integer dimension
@@ -395,11 +404,16 @@ class TestPbm:
             "P1\n21 22\n" + "0 " * 21 * 22,  # not square
             "P1\n20 20\n" + "0 " * 400,  # no QR version has side 20
             "P1\n\u0662\u0661 \u0662\u0661\n" + "0 " * 441,  # Arabic-Indic digits "21 21"
+            "P1\n\uff12\uff11 21\n" + "0 " * 441,  # fullwidth digits "21"
+            pytest.param([[False] * 20 for _ in range(21)], id="grid-21-rows-of-20"),
+            pytest.param([[False] * 25 for _ in range(21)], id="grid-21-rows-of-25"),
         ],
     )
-    def test_rejects_malformed(self, text):
+    def test_rejects_malformed(self, source):
+        """PBM text, or a module grid handed straight to the wrapper."""
+        read = from_pbm if isinstance(source, str) else matrix_from_modules
         with pytest.raises(MalformedInput):
-            from_pbm(text)
+            read(source)
 
 
 @st.composite
