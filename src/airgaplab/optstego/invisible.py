@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import CarrierTooSmall
-from .qr import QrMatrix, matrix_from_modules, size_for_version
+from .qr import QrMatrix, _grid, matrix_from_modules, size_for_version
 
 MIN_AMPLITUDE = 1
 MAX_AMPLITUDE = 16
@@ -67,14 +67,14 @@ def invisible_embed(
         raise CarrierTooSmall(
             f"carrier {carrier.width}x{carrier.height} cannot hold {side}x{side} at offset {offset}"
         )
-    grid = np.array(m.modules, dtype=bool)
-    signs = np.where(grid, -1, 1).astype(np.int16)  # dark subtracts, light adds
-    delta = np.kron(signs, np.ones((scale, scale), dtype=np.int16)) * amplitude
-    out = carrier.pixels.astype(np.int16).copy()
-    out[oy : oy + side, ox : ox + side] = np.clip(
-        out[oy : oy + side, ox : ox + side] + delta, 0, 255
-    )
-    return GrayImage(carrier.width, carrier.height, out.astype(np.uint8))
+    signs = np.where(_grid(m), -amplitude, amplitude).astype(np.int16)  # dark subtracts, light adds
+    out = carrier.pixels.copy()
+    region = out[oy : oy + side, ox : ox + side]
+    # Each module row's signs, widened to pixels, apply to its `scale` pixel rows.
+    widened = np.repeat(signs, scale, axis=1)[:, None]
+    stamped = region.astype(np.int16).reshape(m.size, scale, side) + widened
+    region[...] = np.clip(stamped, 0, 255).reshape(side, side)
+    return GrayImage(carrier.width, carrier.height, out)
 
 
 def invisible_extract(
@@ -98,21 +98,29 @@ def invisible_extract(
         raise CarrierTooSmall(
             f"image {img.width}x{img.height} cannot hold {side}x{side} at offset {offset}"
         )
-    # Integral image makes every clipped rectangle sum O(1).  Index 0 of each
-    # bound below is the module block, index 1 the block plus its ring,
-    # clipped to the image; the image spans at least 21 modules a side, so no
-    # ring is empty.
-    acc = np.zeros((img.height + 1, img.width + 1), dtype=np.float64)
-    acc[1:, 1:] = np.cumsum(np.cumsum(img.pixels.astype(np.float64), axis=0), axis=1)
+    # Block sums on the module lattice over the symbol and RING_MODULES
+    # modules around it, zero past the image edge: `scale` strided adds per
+    # axis.  A module's ring is the box of blocks around it less its own
+    # block, and ring areas count only pixels inside the image (the symbol
+    # spans at least 21 modules, so no ring is empty).  The integer sums are
+    # exact (int32 holds a block sum up to scale 2900), so the comparison is.
     ring = RING_MODULES * scale
+    reach = n_modules + 2 * RING_MODULES
+    pad = np.zeros((reach * scale, reach * scale), np.int32)
+    py0, px0 = max(oy - ring, 0), max(ox - ring, 0)
+    py1, px1 = min(oy + side + ring, img.height), min(ox + side + ring, img.width)
+    pad[py0 - oy + ring : py1 - oy + ring, px0 - ox + ring : px1 - ox + ring] = img.pixels[py0:py1, px0:px1]
+    rows = sum(pad[i::scale] for i in range(scale))
+    blocks = sum(rows[:, i::scale] for i in range(scale))
+    box = np.zeros((reach + 1, reach + 1), np.int64)
+    box[1:, 1:] = blocks.cumsum(0, np.int64).cumsum(1)
+    k = 2 * RING_MODULES + 1
+    outer_sum = box[k:, k:] - box[:-k, k:] - box[k:, :-k] + box[:-k, :-k]
+    block_sum = blocks[RING_MODULES:-RING_MODULES, RING_MODULES:-RING_MODULES]
     top = oy + scale * np.arange(n_modules)
     left = ox + scale * np.arange(n_modules)
-    y0 = np.clip(np.stack([top, top - ring]), 0, img.height)[:, :, None]
-    y1 = np.clip(np.stack([top + scale, top + scale + ring]), 0, img.height)[:, :, None]
-    x0 = np.clip(np.stack([left, left - ring]), 0, img.width)[:, None, :]
-    x1 = np.clip(np.stack([left + scale, left + scale + ring]), 0, img.width)[:, None, :]
-    block_sum, outer_sum = acc[y1, x1] - acc[y0, x1] - acc[y1, x0] + acc[y0, x0]
-    block_area, outer_area = (y1 - y0) * (x1 - x0)
-    modules = block_sum / block_area < (outer_sum - block_sum) / (outer_area - block_area)
+    ring_height = np.minimum(top + scale + ring, img.height) - np.maximum(top - ring, 0)
+    ring_width = np.minimum(left + scale + ring, img.width) - np.maximum(left - ring, 0)
+    ring_area = ring_height[:, None] * ring_width - scale * scale
+    modules = block_sum / (scale * scale) < (outer_sum - block_sum) / ring_area
     return matrix_from_modules(modules.tolist())
-

@@ -351,6 +351,24 @@ class QrMatrix:
         return QrMatrix(self.version, self.ec_level, [row[:] for row in self.modules])
 
 
+def _grid(m: QrMatrix) -> np.ndarray:
+    """The module grid as a (size, size) bool array, equal to
+    ``np.array(m.modules, bool)``.
+
+    Rows of bools or ints 0..255 pack through ``bytes()`` at C speed; any
+    other cell (a numpy bool, an int past a byte, a float) or row (an
+    ndarray of wider items, a ragged length) takes numpy's own conversion.
+    """
+    size = m.size
+    try:
+        rows = list(map(bytes, m.modules))
+    except (TypeError, ValueError):
+        rows = None
+    if rows is None or any(len(row) != size for row in rows):
+        return np.array(m.modules, bool)
+    return np.frombuffer(b"".join(rows), np.uint8).reshape(size, size) != 0
+
+
 # ---- codeword assembly ----
 
 
@@ -542,7 +560,7 @@ def decode_data_codewords(m: QrMatrix) -> tuple[list[int], str]:
     level, mask = read_format(m)
     ys, xs, flips = _data_cells(m.version, mask)
     n_bits = TOTAL_CODEWORDS[m.version] * 8
-    stream = np.packbits(np.array(m.modules, bool)[ys[:n_bits], xs[:n_bits]] ^ flips[:n_bits])
+    stream = np.packbits(_grid(m)[ys[:n_bits], xs[:n_bits]] ^ flips[:n_bits])
     concatenated = np.empty_like(stream)
     concatenated[_stream_order(m.version, level)] = stream
     blocks = concatenated.tolist()
@@ -598,35 +616,67 @@ def matrix_from_modules(modules: list[list[bool]]) -> QrMatrix:
 # ---- PBM serialization (portable bitmap, ASCII P1, dark = 1) ----
 
 
+# Byte classes of the PBM tokenizer, as str.split and str.splitlines treat
+# ASCII: whitespace separates tokens, a line break also ends a comment, and
+# '#' starts one.
+_TOKEN, _SPACE, _BREAK, _HASH = range(4)
+_PBM_BYTES = np.zeros(256, np.uint8)
+_PBM_BYTES[[0x09, 0x1F, 0x20]] = _SPACE
+_PBM_BYTES[[0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E]] = _BREAK
+_PBM_BYTES[ord("#")] = _HASH
+
+
 def to_pbm(m: QrMatrix) -> str:
-    lines = ["P1", f"{m.size} {m.size}"]
-    for row in m.modules:
-        lines.append(" ".join("1" if cell else "0" for cell in row))
-    return "\n".join(lines) + "\n"
+    size = m.size
+    # Each row is its digits with a space after each but the last, then "\n".
+    raster = np.full((size, 2 * size), ord(" "), np.uint8)
+    raster[:, ::2] = ord("0") + _grid(m)
+    raster[:, -1:] = ord("\n")  # a slice, so a 0x0 grid writes no row
+    return f"P1\n{size} {size}\n" + raster.tobytes().decode()
 
 
 def from_pbm(text: str) -> QrMatrix:
     """Parse an ASCII PBM into a symbol.
 
-    Comments run from '#' to the end of the line.  The header is the magic
-    number P1 and two non-negative integers in ASCII digits; each pixel is
-    one token, 0 or 1.  Anything else raises MalformedInput.
+    Tokens are what ``str.split`` finds in each line of ``str.splitlines``,
+    and comments run from '#' to the end of the line.  The header is the
+    magic number P1 and two non-negative integers in ASCII digits; each
+    pixel is one token, 0 or 1.  Anything else raises MalformedInput.
     """
-    tokens: list[str] = []
-    for line in text.splitlines():
-        tokens.extend(line.split("#", 1)[0].split())
-    if not tokens or tokens[0] != "P1":
+    if not text.isascii():
+        # Non-ASCII spaces and line breaks split too; rejoined with single
+        # spaces, the same tokens need only the ASCII rules below.
+        text = " ".join(t for line in text.splitlines() for t in line.split("#", 1)[0].split())
+    data = text.encode("utf-8", "surrogatepass")
+    raw = np.frombuffer(data, np.uint8)
+    kind = _PBM_BYTES.take(raw)
+    is_token = np.zeros(len(raw) + 2, bool)  # with a non-token byte at each end
+    is_token[1:-1] = kind == _TOKEN
+    if b"#" in data:
+        # A byte is commented out when the last '#' at or before it comes
+        # after the last line break.
+        at = np.arange(len(raw))
+        hash_at = np.maximum.accumulate(np.where(kind == _HASH, at, -1))
+        break_at = np.maximum.accumulate(np.where(kind == _BREAK, at, -1))
+        is_token[1:-1] &= hash_at <= break_at
+    edges = np.flatnonzero(is_token[1:] != is_token[:-1])
+    starts, ends = edges[::2], edges[1::2]
+    header = [data[a:b].decode("utf-8", "surrogatepass")
+              for a, b in zip(starts[:3].tolist(), ends[:3].tolist())]
+    if not header or header[0] != "P1":
         raise MalformedInput("not an ASCII netpbm (P1) file")
-    fields = tokens[1:3]
+    fields = header[1:]
     if len(fields) < 2 or not all(f.isascii() and f.isdecimal() for f in fields):
         raise MalformedInput(f"P1 header needs 2 non-negative integers, got {fields}")
     width, height = map(int, fields)
-    bits = tokens[3 : 3 + width * height]
-    if len(bits) < width * height:
+    n_pixels = width * height
+    if len(starts) - 3 < n_pixels:
         raise MalformedInput("PBM pixel data truncated")
-    if any(bit not in ("0", "1") for bit in bits):
+    first = starts[3 : 3 + n_pixels]
+    pixels = raw[first]
+    # One byte each, and '0' (0x30) and '1' (0x31) differ only in the low bit.
+    if (ends[3 : 3 + n_pixels] - first != 1).any() or ((pixels | 1) != ord("1")).any():
         raise MalformedInput("PBM pixels must be 0 or 1")
     if width != height:
         raise MalformedInput("QR symbol must be square")
-    rows = [bits[y * width : (y + 1) * width] for y in range(height)]
-    return matrix_from_modules([[bit == "1" for bit in row] for row in rows])
+    return matrix_from_modules((pixels == ord("1")).reshape(height, width).tolist())

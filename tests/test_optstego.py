@@ -28,7 +28,7 @@ from airgaplab.optstego import (
     to_pbm,
 )
 from airgaplab.optstego.invisible import RING_MODULES
-from airgaplab.optstego.qr import QrMatrix, byte_mode_capacity, size_for_version
+from airgaplab.optstego.qr import QrMatrix, _grid, byte_mode_capacity, size_for_version
 
 
 class TestStegoCapacity:
@@ -224,6 +224,44 @@ class TestInvisibleEmbed:
         dark = GrayImage.uniform(side, side, 2)
         out = invisible_embed(dark, matrix, amplitude=16, scale=2, offset=(4, 4))
         assert out.pixels.min() == 0 and out.pixels.max() <= 2 + 16
+
+
+# The same symbol's cells as other types a caller can build a grid from.
+_CELL_TYPES = {
+    "numpy-bool": lambda rows: [[np.bool_(c) for c in row] for row in rows],
+    "int-0-1": lambda rows: [[int(c) for c in row] for row in rows],
+    "int-0-2": lambda rows: [[2 * c for c in row] for row in rows],
+    "int-0-300": lambda rows: [[300 * c for c in row] for row in rows],
+    "int-0-minus-1": lambda rows: [[-int(c) for c in row] for row in rows],
+    "numpy-int64": lambda rows: [[np.int64(c) for c in row] for row in rows],
+    "float": lambda rows: [[float(c) for c in row] for row in rows],
+    "bool-array-rows": lambda rows: [np.array(row) for row in rows],
+    "int64-array-rows": lambda rows: [np.array(row, np.int64) for row in rows],
+    "bool-array": lambda rows: np.array(rows),
+}
+
+
+class TestGridCellTypes:
+    @pytest.mark.parametrize("cells", _CELL_TYPES.values(), ids=_CELL_TYPES.keys())
+    def test_decodes_writes_and_stamps_like_its_bool_twin(self, cells):
+        symbol = stego_embed(b"cell types", b"secret", "M")
+        twin = QrMatrix(symbol.version, symbol.ec_level, cells(symbol.modules))
+        grid = _grid(twin)
+        assert grid.dtype == bool and np.array_equal(grid, np.array(twin.modules, bool))
+        assert np.array_equal(grid, np.array(symbol.modules))
+        assert (qr_decode(twin), stego_extract(twin)) == (b"cell types", b"secret")
+        assert to_pbm(twin) == to_pbm(symbol)
+        side = symbol.size * 3 + 10
+        carrier = GrayImage(side, side, np.random.default_rng(3).integers(0, 256, (side, side)))
+        stamp = {"amplitude": 9, "scale": 3, "offset": (4, 6)}
+        assert np.array_equal(invisible_embed(carrier, twin, **stamp).pixels, invisible_embed(carrier, symbol, **stamp).pixels)
+
+    def test_ragged_grid_raises_like_numpy(self):
+        ragged = QrMatrix(1, None, [[True] * 21 for _ in range(20)] + [[True] * 22])
+        with pytest.raises(ValueError):
+            np.array(ragged.modules, bool)
+        with pytest.raises(ValueError):
+            _grid(ragged)
 
 
 # Pixel tokens of a real symbol, with each row end kept as a "\n" token so a

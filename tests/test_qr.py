@@ -416,6 +416,119 @@ class TestPbm:
             read(source)
 
 
+def _reference_from_pbm(text: str) -> QrMatrix:
+    """Reference: the str tokenizer, splitting each line of str.splitlines
+    with str.split after cutting it at its first '#'."""
+    tokens: list[str] = []
+    for line in text.splitlines():
+        tokens.extend(line.split("#", 1)[0].split())
+    if not tokens or tokens[0] != "P1":
+        raise MalformedInput("not an ASCII netpbm (P1) file")
+    fields = tokens[1:3]
+    if len(fields) < 2 or not all(f.isascii() and f.isdecimal() for f in fields):
+        raise MalformedInput(f"P1 header needs 2 non-negative integers, got {fields}")
+    width, height = map(int, fields)
+    bits = tokens[3 : 3 + width * height]
+    if len(bits) < width * height:
+        raise MalformedInput("PBM pixel data truncated")
+    if any(bit not in ("0", "1") for bit in bits):
+        raise MalformedInput("PBM pixels must be 0 or 1")
+    if width != height:
+        raise MalformedInput("QR symbol must be square")
+    rows = [bits[y * width : (y + 1) * width] for y in range(height)]
+    return matrix_from_modules([[bit == "1" for bit in row] for row in rows])
+
+
+def _assert_reads_like_reference(text: str) -> None:
+    """from_pbm returns the reference's symbol, or raises its error with its message."""
+    try:
+        want = _reference_from_pbm(text)
+    except MalformedInput as exc:
+        with pytest.raises(MalformedInput) as got:
+            from_pbm(text)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+    else:
+        got = from_pbm(text)
+        assert (got.modules, got.version, got.ec_level) == (want.modules, want.version, want.ec_level)
+
+
+_PBM_TEXT = to_pbm(qr_encode(b"differential", "M"))
+# What str.split treats as whitespace in ASCII; all but \x1f and the space
+# also end a line for str.splitlines.
+_ASCII_SPACES = "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "
+# Non-ASCII characters that str.split or str.splitlines also break at.
+_WIDE_SPACES = "\x85\xa0\u1680\u2000\u2028\u2029\u202f\u3000"
+
+
+def _codepoints(text: str) -> str:
+    return "-".join(f"U+{ord(c):04X}" for c in text)
+
+
+class TestPbmReference:
+    @pytest.mark.parametrize("sep", list(_ASCII_SPACES + _WIDE_SPACES), ids=_codepoints)
+    def test_every_separator(self, sep):
+        _assert_reads_like_reference(_PBM_TEXT.replace(" ", sep))
+        _assert_reads_like_reference(_PBM_TEXT.replace("\n", sep))
+
+    @pytest.mark.parametrize("end", [*_ASCII_SPACES, *_WIDE_SPACES, "\r\n", "x"], ids=_codepoints)
+    def test_comment_ended_by_each_byte(self, end):
+        """A line break ends the comment and the header follows; any other byte leaves it commented out."""
+        magic, rest = _PBM_TEXT.split("\n", 1)
+        _assert_reads_like_reference(f"{magic}# 5 5 1{end}{rest}")
+        _assert_reads_like_reference(f"{magic}\n#{end}{rest}")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            _PBM_TEXT.replace("P1\n", "P1#glued\n", 1),
+            _PBM_TEXT.replace(" 1 ", " 1#glued\n", 1),
+            _PBM_TEXT.replace("\n", " #\n"),
+            _PBM_TEXT.replace("\n", "\r\n"),
+            _PBM_TEXT.replace("\n", "\r"),
+            "#" + _PBM_TEXT,
+            "P1#",
+            "",
+            "##\n\n#",
+            _PBM_TEXT.replace(" ", "  \t ") + "trailing 7 tokens",
+        ],
+        ids=["hash-on-magic", "hash-on-pixel", "hash-before-every-break", "crlf", "cr", "commented-out",
+             "magic-then-hash", "empty", "comments-only", "extra-tokens"],
+    )
+    def test_edge_texts(self, text):
+        _assert_reads_like_reference(text)
+
+    def test_huge_header_is_truncated(self):
+        """10**30 x 10**30 pixels against a short raster: no OverflowError or MemoryError."""
+        text = f"P1 {10**30} {10**30}\n" + "0 " * 441
+        _assert_reads_like_reference(text)
+        with pytest.raises(MalformedInput, match="truncated"):
+            from_pbm(text)
+
+
+# Pixel tokens of a real symbol with each row end a token of its own, and
+# token soup: numbers, comments, line breaks, separators of every kind.
+_SOUP_PIXELS = " \n ".join(_PBM_TEXT.splitlines()[2:]).split(" ")
+_SOUP = st.one_of(
+    st.integers(-3, 30).map(str),
+    st.sampled_from(["0", "1", "#", "# note\n", "\n", "\u0663", "\uff12", "\u0662\u0661", "1#", "#1", "\r\n"]),
+    st.sampled_from(list(_ASCII_SPACES + _WIDE_SPACES)),
+    st.text(max_size=4),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    dims=st.lists(st.one_of(st.just("21"), _SOUP), min_size=2, max_size=2),
+    edits=st.lists(st.tuples(st.integers(0, len(_SOUP_PIXELS)), st.booleans(), _SOUP), max_size=4),
+    sep=st.sampled_from(list(" " + _ASCII_SPACES + _WIDE_SPACES)),
+)
+def test_from_pbm_matches_reference_tokenizer_on_token_soup(dims, edits, sep):
+    pixels = list(_SOUP_PIXELS)
+    for at, replace, token in edits:
+        pixels[at : at + replace] = [token]
+    _assert_reads_like_reference(sep.join(["P1", *dims, "\n", *pixels]))
+
+
 @st.composite
 def _data_codewords(draw):
     version = draw(st.integers(1, 10))
