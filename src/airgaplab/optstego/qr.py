@@ -616,16 +616,6 @@ def matrix_from_modules(modules: list[list[bool]]) -> QrMatrix:
 # ---- PBM serialization (portable bitmap, ASCII P1, dark = 1) ----
 
 
-# Byte classes of the PBM tokenizer, as str.split and str.splitlines treat
-# ASCII: whitespace separates tokens, a line break also ends a comment, and
-# '#' starts one.
-_TOKEN, _SPACE, _BREAK, _HASH = range(4)
-_PBM_BYTES = np.zeros(256, np.uint8)
-_PBM_BYTES[[0x09, 0x1F, 0x20]] = _SPACE
-_PBM_BYTES[[0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E]] = _BREAK
-_PBM_BYTES[ord("#")] = _HASH
-
-
 def to_pbm(m: QrMatrix) -> str:
     size = m.size
     # Each row is its digits with a space after each but the last, then "\n".
@@ -638,44 +628,27 @@ def to_pbm(m: QrMatrix) -> str:
 def from_pbm(text: str) -> QrMatrix:
     """Parse an ASCII PBM into a symbol.
 
-    Tokens are what ``str.split`` finds in each line of ``str.splitlines``,
-    and comments run from '#' to the end of the line.  The header is the
-    magic number P1 and two non-negative integers in ASCII digits; each
-    pixel is one token, 0 or 1.  Anything else raises MalformedInput.
+    Comments run from '#' to the end of the line.  The header is the magic
+    number P1 and two non-negative integers in ASCII digits; each pixel is
+    one token, 0 or 1.  Anything else raises MalformedInput.
     """
-    if not text.isascii():
-        # Non-ASCII spaces and line breaks split too; rejoined with single
-        # spaces, the same tokens need only the ASCII rules below.
-        text = " ".join(t for line in text.splitlines() for t in line.split("#", 1)[0].split())
-    data = text.encode("utf-8", "surrogatepass")
-    raw = np.frombuffer(data, np.uint8)
-    kind = _PBM_BYTES.take(raw)
-    is_token = np.zeros(len(raw) + 2, bool)  # with a non-token byte at each end
-    is_token[1:-1] = kind == _TOKEN
-    if b"#" in data:
-        # A byte is commented out when the last '#' at or before it comes
-        # after the last line break.
-        at = np.arange(len(raw))
-        hash_at = np.maximum.accumulate(np.where(kind == _HASH, at, -1))
-        break_at = np.maximum.accumulate(np.where(kind == _BREAK, at, -1))
-        is_token[1:-1] &= hash_at <= break_at
-    edges = np.flatnonzero(is_token[1:] != is_token[:-1])
-    starts, ends = edges[::2], edges[1::2]
-    header = [data[a:b].decode("utf-8", "surrogatepass")
-              for a, b in zip(starts[:3].tolist(), ends[:3].tolist())]
-    if not header or header[0] != "P1":
+    tokens: list[str] = []
+    for line in text.splitlines():
+        tokens.extend(line.split("#", 1)[0].split())
+    if not tokens or tokens[0] != "P1":
         raise MalformedInput("not an ASCII netpbm (P1) file")
-    fields = header[1:]
+    fields = tokens[1:3]
     if len(fields) < 2 or not all(f.isascii() and f.isdecimal() for f in fields):
         raise MalformedInput(f"P1 header needs 2 non-negative integers, got {fields}")
     width, height = map(int, fields)
-    n_pixels = width * height
-    if len(starts) - 3 < n_pixels:
+    bits = tokens[3 : 3 + width * height]
+    if len(bits) < width * height:
         raise MalformedInput("PBM pixel data truncated")
-    first = starts[3 : 3 + n_pixels]
-    pixels = raw[first]
-    # One byte each, and '0' (0x30) and '1' (0x31) differ only in the low bit.
-    if (ends[3 : 3 + n_pixels] - first != 1).any() or ((pixels | 1) != ord("1")).any():
+    # Tokens are never empty, so one byte per token means every pixel is a
+    # single ASCII character; '0' (0x30) and '1' (0x31) differ in the low bit.
+    data = "".join(bits).encode("utf-8", "surrogatepass")
+    pixels = np.frombuffer(data, np.uint8)
+    if len(data) != len(bits) or ((pixels | 1) != ord("1")).any():
         raise MalformedInput("PBM pixels must be 0 or 1")
     if width != height:
         raise MalformedInput("QR symbol must be square")

@@ -112,21 +112,20 @@ def test_summary_shape_and_run_order(tmp_path):
     assert "better" not in res["metrics"]["undeclared"]
     calls = (tmp_path / "calls").read_text().split()
     assert calls == ["base", "head", "head", "base"] * 2
-    assert ab.problems(results, expect_artifact_change=False) == []
+    assert ab.problems(results) == []
     json.dumps(results)
 
 
 def test_digest_gate(tmp_path):
     results = _measure(tmp_path, head_digest="d2")
-    found = ab.problems(results, expect_artifact_change=False)
+    found = ab.problems(results)
     assert len(found) == 2 and all("differs from the base's d1" in line for line in found)
-    assert ab.problems(results, expect_artifact_change=True) == []
 
 
 def test_a_run_without_a_result_fails(tmp_path):
     results = _measure(tmp_path)
     results["artifact-roundtrip/seed1"]["runs"][1]["correct"] = False
-    assert ab.problems(results, False) == ["artifact-roundtrip/seed1: runs failed their checks: head pair 0"]
+    assert ab.problems(results) == ["artifact-roundtrip/seed1: runs failed their checks: head pair 0"]
     (tmp_path / "head" / "bench" / "run.py").write_text("import sys; sys.exit(3)\n")
     run = ab.run_bench(tmp_path / "head", "artifact-roundtrip", 1, 0.1, 0)
     assert (run["exit"], run["correct"], run["metrics"]) == (3, False, {})

@@ -417,8 +417,9 @@ class TestPbm:
 
 
 def _reference_from_pbm(text: str) -> QrMatrix:
-    """Reference: the str tokenizer, splitting each line of str.splitlines
-    with str.split after cutting it at its first '#'."""
+    """Reference: the per-token reader, splitting each line of
+    str.splitlines with str.split after cutting it at its first '#', and
+    testing each pixel token against "0" and "1" in Python."""
     tokens: list[str] = []
     for line in text.splitlines():
         tokens.extend(line.split("#", 1)[0].split())
@@ -490,9 +491,15 @@ class TestPbmReference:
             "",
             "##\n\n#",
             _PBM_TEXT.replace(" ", "  \t ") + "trailing 7 tokens",
+            _PBM_TEXT.replace(" 1 ", " 10 ", 1),
+            _PBM_TEXT.replace(" 1 ", " \ud800 ", 1),
+            _PBM_TEXT.replace(" 1 ", " \u0661 ", 1),
+            _PBM_TEXT.replace(" 1 ", " 2 ", 1),
+            _PBM_TEXT.replace(" 1 ", " / ", 1),
         ],
         ids=["hash-on-magic", "hash-on-pixel", "hash-before-every-break", "crlf", "cr", "commented-out",
-             "magic-then-hash", "empty", "comments-only", "extra-tokens"],
+             "magic-then-hash", "empty", "comments-only", "extra-tokens", "two-digit-pixel",
+             "lone-surrogate-pixel", "arabic-indic-one-pixel", "pixel-2", "pixel-below-0"],
     )
     def test_edge_texts(self, text):
         _assert_reads_like_reference(text)
