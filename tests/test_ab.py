@@ -3,6 +3,8 @@ digest gate, against stub benchmarks rather than real runs."""
 
 import importlib.util
 import json
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -12,6 +14,21 @@ _PATH = Path(__file__).resolve().parent.parent / "tools" / "ab.py"
 _SPEC = importlib.util.spec_from_file_location("ab", _PATH)
 ab = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(ab)
+
+
+def test_loading_leaves_bench_off_sys_path():
+    """bench/'s generic module names (measure, run, workloads) must not shadow
+    later imports.  A fresh interpreter, since pytest itself puts bench/ on
+    sys.path when it collects bench/test_bench.py."""
+    probe = textwrap.dedent("""
+        import importlib.util, pathlib, sys
+        spec = importlib.util.spec_from_file_location("ab", sys.argv[1])
+        spec.loader.exec_module(importlib.util.module_from_spec(spec))
+        bench = pathlib.Path(sys.argv[1]).resolve().parent.parent / "bench"
+        print(any(pathlib.Path(p or ".").resolve() == bench for p in sys.path), "measure" in sys.modules)
+    """)
+    out = subprocess.run([sys.executable, "-c", probe, str(_PATH)], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "False"]
 
 
 class TestClaimRule:
