@@ -123,4 +123,4 @@ def invisible_extract(
     ring_width = np.minimum(left + scale + ring, img.width) - np.maximum(left - ring, 0)
     ring_area = ring_height[:, None] * ring_width - scale * scale
     modules = block_sum / (scale * scale) < (outer_sum - block_sum) / ring_area
-    return matrix_from_modules(modules.tolist())
+    return matrix_from_modules(modules)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from ..errors import MalformedFormatInfo, MalformedInput, PayloadTooLarge, UncorrectableErrors
 
@@ -323,6 +324,7 @@ _FORMAT_WORDS = {
     for mask in range(8)
     for data in [FORMAT_BITS[level] << 3 | mask]
 }
+_FORMAT_WORD_TABLE = _read_only(np.array(list(_FORMAT_WORDS.values())))  # the same, in order
 
 
 def format_code(ec_level: str, mask: int) -> int:
@@ -335,38 +337,41 @@ def version_code(version: int) -> int:
     return (version << 12) | rem
 
 
+def _square(modules: ArrayLike) -> np.ndarray:
+    """The module grid as a bool array, refused unless square, 2-D and not empty."""
+    try:
+        grid = np.asarray(modules, bool)
+    except ValueError:  # ragged rows
+        grid = None
+    if grid is None or grid.ndim != 2 or grid.shape[0] != grid.shape[1] or not grid.size:
+        raise MalformedInput("QR symbol must be square")
+    return grid
+
+
 @dataclass
 class QrMatrix:
-    """A square module grid; True is a dark module."""
+    """A square module grid; True is a dark module.  Any square 2-D grid is
+    accepted and kept as rows of Python bools, the one place a grid becomes lists."""
 
     version: int
     ec_level: str | None
     modules: list[list[bool]]
+
+    def __post_init__(self) -> None:
+        self.modules = _square(self.modules).tolist()
 
     @property
     def size(self) -> int:
         return len(self.modules)
 
     def clone(self) -> "QrMatrix":
-        return QrMatrix(self.version, self.ec_level, [row[:] for row in self.modules])
+        return QrMatrix(self.version, self.ec_level, self.modules)
 
 
 def _grid(m: QrMatrix) -> np.ndarray:
-    """The module grid as a (size, size) bool array, equal to
-    ``np.array(m.modules, bool)``.
-
-    Rows of bools or ints 0..255 pack through ``bytes()`` at C speed; any
-    other cell (a numpy bool, an int past a byte, a float) or row (an
-    ndarray of wider items, a ragged length) takes numpy's own conversion.
-    """
-    size = m.size
-    try:
-        rows = list(map(bytes, m.modules))
-    except (TypeError, ValueError):
-        rows = None
-    if rows is None or any(len(row) != size for row in rows):
-        return np.array(m.modules, bool)
-    return np.frombuffer(b"".join(rows), np.uint8).reshape(size, size) != 0
+    """The module grid as a (size, size) bool array: the rows of Python
+    bools that QrMatrix keeps pack with ``bytes()``."""
+    return np.frombuffer(b"".join(map(bytes, m.modules)), np.uint8).reshape(m.size, m.size) != 0
 
 
 # ---- codeword assembly ----
@@ -511,7 +516,7 @@ def matrix_from_data_codewords(data_codewords: list[int], version: int, ec_level
     modules = _function_template(version)[1].copy()
     _place_codewords(modules, interleave(data_codewords, version, ec_level), version, mask=0)
     modules[_format_cells(len(modules))] = _FORMAT_WORDS[ec_level, 0] >> np.arange(15) & 1
-    return QrMatrix(version, ec_level, modules.tolist())
+    return QrMatrix(version, ec_level, modules)
 
 
 def select_version(payload_len: int, ec_level: str, extra_pad_bytes: int = 0) -> int:
@@ -537,30 +542,25 @@ def qr_encode(text: bytes, ec_level: str = "M") -> QrMatrix:
 # ---- decoding ----
 
 
-def read_format(m: QrMatrix) -> tuple[str, int]:
-    """Recover (ec_level, mask) from the nearest format word in either
-    copy; a tie goes to copy 1, then to the earlier table entry."""
-    ys, xs = _format_cells(m.size)
-    best = None
-    for copy_ys, copy_xs in zip(ys.tolist(), xs.tolist()):
-        received = sum(1 << i for i, (y, x) in enumerate(zip(copy_ys, copy_xs)) if m.modules[y][x])
-        for (level, mask), word in _FORMAT_WORDS.items():
-            distance = (received ^ word).bit_count()
-            if best is None or distance < best[0]:
-                best = (distance, level, mask)
-    distance, level, mask = best
-    if distance > 3:
-        raise MalformedFormatInfo(f"best format-code distance {distance} exceeds 3")
-    return level, mask
+def read_format(grid: np.ndarray) -> tuple[str, int]:
+    """Recover (ec_level, mask) from the nearest format word in either copy
+    of a bool grid; a tie goes to copy 1, then to the earlier table entry."""
+    received = grid[_format_cells(len(grid))] @ (1 << np.arange(15))
+    distances = np.bitwise_count(received[:, None] ^ _FORMAT_WORD_TABLE).ravel()
+    best = distances.argmin()  # the first minimum: copy 1's words, then copy 2's
+    if distances[best] > 3:
+        raise MalformedFormatInfo(f"best format-code distance {distances[best]} exceeds 3")
+    return list(_FORMAT_WORDS)[best % len(_FORMAT_WORDS)]
 
 
 def decode_data_codewords(m: QrMatrix) -> tuple[list[int], str]:
     """Unmask, deinterleave and RS-correct every block; returns the data
     codewords plus the recovered level."""
-    level, mask = read_format(m)
+    grid = _grid(m)
+    level, mask = read_format(grid)
     ys, xs, flips = _data_cells(m.version, mask)
     n_bits = TOTAL_CODEWORDS[m.version] * 8
-    stream = np.packbits(_grid(m)[ys[:n_bits], xs[:n_bits]] ^ flips[:n_bits])
+    stream = np.packbits(grid[ys[:n_bits], xs[:n_bits]] ^ flips[:n_bits])
     concatenated = np.empty_like(stream)
     concatenated[_stream_order(m.version, level)] = stream
     blocks = concatenated.tolist()
@@ -597,20 +597,17 @@ def qr_decode(m: QrMatrix) -> bytes:
     return text
 
 
-def matrix_from_modules(modules: list[list[bool]]) -> QrMatrix:
+def matrix_from_modules(modules: ArrayLike) -> QrMatrix:
     """Wrap a raw module grid, inferring version and (best effort) level."""
-    size = len(modules)
-    version = (size - 17) // 4
-    if (size - 17) % 4 or not MIN_VERSION <= version <= MAX_VERSION:
-        raise MalformedInput(f"symbol side {size} is not a version {MIN_VERSION}..{MAX_VERSION} QR")
-    if any(len(row) != size for row in modules):
-        raise MalformedInput("QR symbol must be square")
-    m = QrMatrix(version, None, modules)
+    grid = _square(modules)
+    version, rest = divmod(len(grid) - 17, 4)
+    if rest or not MIN_VERSION <= version <= MAX_VERSION:
+        raise MalformedInput(f"symbol side {len(grid)} is not a version {MIN_VERSION}..{MAX_VERSION} QR")
     try:
-        m.ec_level = read_format(m)[0]
+        level = read_format(grid)[0]
     except MalformedFormatInfo:
-        pass
-    return m
+        level = None
+    return QrMatrix(version, level, grid)
 
 
 # ---- PBM serialization (portable bitmap, ASCII P1, dark = 1) ----
@@ -621,7 +618,7 @@ def to_pbm(m: QrMatrix) -> str:
     # Each row is its digits with a space after each but the last, then "\n".
     raster = np.full((size, 2 * size), ord(" "), np.uint8)
     raster[:, ::2] = ord("0") + _grid(m)
-    raster[:, -1:] = ord("\n")  # a slice, so a 0x0 grid writes no row
+    raster[:, -1] = ord("\n")
     return f"P1\n{size} {size}\n" + raster.tobytes().decode()
 
 
@@ -640,7 +637,10 @@ def from_pbm(text: str) -> QrMatrix:
     fields = tokens[1:3]
     if len(fields) < 2 or not all(f.isascii() and f.isdecimal() for f in fields):
         raise MalformedInput(f"P1 header needs 2 non-negative integers, got {fields}")
-    width, height = map(int, fields)
+    try:
+        width, height = map(int, fields)
+    except ValueError:  # past the interpreter's digit limit for int(str)
+        raise MalformedInput("P1 header field has too many digits") from None
     bits = tokens[3 : 3 + width * height]
     if len(bits) < width * height:
         raise MalformedInput("PBM pixel data truncated")
@@ -650,6 +650,4 @@ def from_pbm(text: str) -> QrMatrix:
     pixels = np.frombuffer(data, np.uint8)
     if len(data) != len(bits) or ((pixels | 1) != ord("1")).any():
         raise MalformedInput("PBM pixels must be 0 or 1")
-    if width != height:
-        raise MalformedInput("QR symbol must be square")
-    return matrix_from_modules((pixels == ord("1")).reshape(height, width).tolist())
+    return matrix_from_modules((pixels == ord("1")).reshape(height, width))  # refuses width != height

@@ -146,3 +146,17 @@ def test_a_run_without_a_result_fails(tmp_path):
     (tmp_path / "head" / "bench" / "run.py").write_text("import sys; sys.exit(3)\n")
     run = ab.run_bench(tmp_path / "head", "artifact-roundtrip", 1, 0.1, 0)
     assert (run["exit"], run["correct"], run["metrics"]) == (3, False, {})
+
+
+def test_a_timed_out_run_fails_and_the_session_goes_on(tmp_path, monkeypatch):
+    roots = {"base": _stub_root(tmp_path / "base", 100.0, "d1"),
+             "head": _stub_root(tmp_path / "head", 150.0, "d1")}
+    (roots["head"] / "bench" / "run.py").write_text("import time; time.sleep(60)\n")
+    monkeypatch.setattr(ab, "RUN_TIMEOUT_S", 0.5)
+    results = ab.measure(roots, ["artifact-roundtrip"], [1], pairs=2, seconds=0.1, trace=0, log=lambda line: None)
+    runs = results["artifact-roundtrip/seed1"]["runs"]
+    assert [(r["side"], r["correct"], r.get("reason")) for r in runs] == [
+        ("base", True, None), ("head", False, "timed out"), ("head", False, "timed out"), ("base", True, None)]
+    assert ab.problems(results)[0] == (
+        "artifact-roundtrip/seed1: runs failed their checks: head pair 0 (timed out), head pair 1 (timed out)")
+    json.dumps(results)

@@ -167,7 +167,11 @@ class TestQrStego:
         assert code == 1
         assert "NoSecret" in err
 
-    @pytest.mark.parametrize("raw", [b"P1\n21\n", b"P1\n21 21\n\xff\xfe\n"], ids=["truncated", "not-utf8"])
+    @pytest.mark.parametrize(
+        "raw",
+        [b"P1\n21\n", b"P1\n21 21\n\xff\xfe\n", b"P1 " + b"1" * 5000 + b" 0\n"],
+        ids=["truncated", "not-utf8", "5000-digit-width"],
+    )
     def test_extract_truncated_pbm_fails_cleanly(self, capsys, tmp_path, raw):
         pbm_path = tmp_path / "bad.pbm"
         pbm_path.write_bytes(raw)

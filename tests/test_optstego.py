@@ -11,6 +11,7 @@ from airgaplab.errors import (
     AirgapError,
     CarrierTooSmall,
     MalformedFormatInfo,
+    MalformedInput,
     NoSecret,
     PayloadTooLarge,
     SecretTooLarge,
@@ -257,11 +258,11 @@ class TestGridCellTypes:
         assert np.array_equal(invisible_embed(carrier, twin, **stamp).pixels, invisible_embed(carrier, symbol, **stamp).pixels)
 
     def test_ragged_grid_raises_like_numpy(self):
-        ragged = QrMatrix(1, None, [[True] * 21 for _ in range(20)] + [[True] * 22])
+        ragged = [[True] * 21 for _ in range(20)] + [[True] * 22]
         with pytest.raises(ValueError):
-            np.array(ragged.modules, bool)
-        with pytest.raises(ValueError):
-            _grid(ragged)
+            np.array(ragged, bool)
+        with pytest.raises(MalformedInput, match="square"):  # a ValueError too
+            QrMatrix(1, None, ragged)
 
 
 # Pixel tokens of a real symbol, with each row end kept as a "\n" token so a

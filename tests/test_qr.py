@@ -3,6 +3,7 @@ error injection up to and beyond the correction budget."""
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,10 +28,12 @@ from airgaplab.optstego.qr import (
     matrix_from_data_codewords,
     matrix_from_modules,
     parse_byte_segment,
+    read_format,
     rs_correct,
     rs_encode,
     rs_generator,
     _format_cells,
+    _grid,
     _split_block_lengths,
     _syndromes,
     _zigzag_coords,
@@ -366,6 +369,96 @@ class TestFormatInfo:
             qr_decode(blank)
 
 
+def _reference_read_format(m: QrMatrix) -> tuple[str, int]:
+    """Reference: the per-cell reader.  Each copy's 15 cells are summed into
+    a word in Python, and the 32 words are scanned copy 1 first, then levels
+    L, M, Q, H with masks 0-7, keeping the first nearest."""
+    ys, xs = _format_cells(m.size)
+    best = None
+    for copy_ys, copy_xs in zip(ys.tolist(), xs.tolist()):
+        received = sum(1 << i for i, (y, x) in enumerate(zip(copy_ys, copy_xs)) if m.modules[y][x])
+        for level in "LMQH":
+            for mask in range(8):
+                distance = bin(received ^ format_code(level, mask)).count("1")
+                if best is None or distance < best[0]:
+                    best = (distance, level, mask)
+    distance, level, mask = best
+    if distance > 3:
+        raise MalformedFormatInfo(f"best format-code distance {distance} exceeds 3")
+    return level, mask
+
+
+_WORDS = [format_code(level, mask) for level in "LMQH" for mask in range(8)]
+
+
+def _assert_format_reads_like_reference(first: int, second: int) -> None:
+    """read_format on a grid holding `first` in copy 1 and `second` in copy 2
+    returns the reference's (level, mask), or raises its error with its message."""
+    ys, xs = _format_cells(25)
+    grid = np.zeros((25, 25), bool)
+    grid[ys, xs] = np.array([[first], [second]]) >> np.arange(15) & 1
+    m = QrMatrix(2, None, grid)
+    try:
+        want = _reference_read_format(m)
+    except MalformedFormatInfo as exc:
+        with pytest.raises(MalformedFormatInfo) as got:
+            read_format(_grid(m))
+        assert str(got.value) == str(exc)
+    else:
+        assert read_format(_grid(m)) == want
+
+
+def _flip(word: int, rng: random.Random, count: int) -> int:
+    return word ^ sum(1 << bit for bit in rng.sample(range(15), count))
+
+
+class TestReadFormatReference:
+    @pytest.mark.parametrize("flips", range(5))
+    def test_every_word_damaged_in_either_copy(self, flips):
+        """Each word with `flips` bits flipped, beside itself, a damaged copy
+        of itself, another table word or a random word, in either order."""
+        rng = random.Random(flips)
+        for word in _WORDS:
+            for _ in range(6):
+                damaged = _flip(word, rng, flips)
+                for other in (word, _flip(word, rng, rng.randrange(5)), rng.choice(_WORDS), rng.getrandbits(15)):
+                    _assert_format_reads_like_reference(damaged, other)
+                    _assert_format_reads_like_reference(other, damaged)
+
+    def test_random_word_pairs(self):
+        rng = random.Random(15)
+        for _ in range(3000):
+            _assert_format_reads_like_reference(rng.getrandbits(15), rng.getrandbits(15))
+
+    @pytest.mark.parametrize("flips", range(5))
+    def test_ties_between_copies(self, flips):
+        """Two different words, each `flips` bits from its copy: the same
+        distance in both copies, so the tie rule picks copy 1's word."""
+        rng = random.Random(100 + flips)
+        for _ in range(200):
+            a, b = rng.sample(_WORDS, 2)
+            _assert_format_reads_like_reference(_flip(a, rng, flips), _flip(b, rng, flips))
+
+    def test_ties_between_table_entries(self):
+        """A copy halfway between two words 8 bits apart (the words are 7, 8
+        or 15 bits apart, so a tie within a copy is at 4 bits and refused):
+        as copy 1 beside a random copy 2, and as copy 2 beside a copy 1 as
+        far from its own word."""
+        rng = random.Random(8)
+        ties = 0
+        for a in _WORDS:
+            for b in _WORDS:
+                differ = [bit for bit in range(15) if (a ^ b) >> bit & 1]
+                if a == b or len(differ) % 2:
+                    continue
+                halfway = a ^ sum(1 << bit for bit in rng.sample(differ, len(differ) // 2))
+                assert bin(halfway ^ a).count("1") == bin(halfway ^ b).count("1")
+                ties += 1
+                _assert_format_reads_like_reference(halfway, rng.getrandbits(15))
+                _assert_format_reads_like_reference(_flip(a, rng, len(differ) // 2), halfway)
+        assert ties > 0
+
+
 class TestPbm:
     def test_round_trip(self):
         matrix = qr_encode(b"pbm round trip", "M")
@@ -407,6 +500,8 @@ class TestPbm:
             "P1\n\uff12\uff11 21\n" + "0 " * 441,  # fullwidth digits "21"
             pytest.param([[False] * 20 for _ in range(21)], id="grid-21-rows-of-20"),
             pytest.param([[False] * 25 for _ in range(21)], id="grid-21-rows-of-25"),
+            pytest.param([[False] * 21 for _ in range(20)] + [[False] * 22], id="grid-ragged"),
+            pytest.param([False] * 21, id="grid-1-d"),
         ],
     )
     def test_rejects_malformed(self, source):
@@ -428,7 +523,10 @@ def _reference_from_pbm(text: str) -> QrMatrix:
     fields = tokens[1:3]
     if len(fields) < 2 or not all(f.isascii() and f.isdecimal() for f in fields):
         raise MalformedInput(f"P1 header needs 2 non-negative integers, got {fields}")
-    width, height = map(int, fields)
+    try:
+        width, height = map(int, fields)
+    except ValueError:  # past the interpreter's digit limit for int(str)
+        raise MalformedInput("P1 header field has too many digits") from None
     bits = tokens[3 : 3 + width * height]
     if len(bits) < width * height:
         raise MalformedInput("PBM pixel data truncated")
@@ -509,6 +607,14 @@ class TestPbmReference:
         text = f"P1 {10**30} {10**30}\n" + "0 " * 441
         _assert_reads_like_reference(text)
         with pytest.raises(MalformedInput, match="truncated"):
+            from_pbm(text)
+
+    @pytest.mark.parametrize("fields", ["1" * 5000 + " 0", "21 " + "1" * 5000], ids=["width", "height"])
+    def test_header_field_past_the_int_digit_limit_is_malformed(self, fields):
+        """int() refuses more than 4300 digits by default; that is malformed input, not a bare ValueError."""
+        text = f"P1 {fields}\n" + "0 " * 441
+        _assert_reads_like_reference(text)
+        with pytest.raises(MalformedInput, match="too many digits"):
             from_pbm(text)
 
 

@@ -23,6 +23,9 @@ a sign test puts 9 of 10 at p = 0.011), and the two medians differ, in
 HEAD's favour, by more than the base's interquartile range.  Which way is
 better comes from ``BENCHMARK.json``.
 
+A run still going ``RUN_TIMEOUT_S`` past ``--seconds`` is killed and
+recorded as failed ("timed out"), and the session goes on to the next.
+
 Exit status: 0 when every run passed its checks and both sides produced
 the same digests; 1 otherwise; 2 for a usage error.
 """
@@ -94,8 +97,11 @@ def run_bench(root: Path, workload: str, seed: int, seconds: float, trace: int) 
     """One run of root's bench/run.py in a fresh interpreter."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
-                          timeout=seconds + RUN_TIMEOUT_S)
+    try:
+        proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
+                              timeout=seconds + RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:  # run() has killed it; the session goes on
+        return {"exit": None, "correct": False, "reason": "timed out", "metrics": {}, "digest": None}
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
@@ -162,7 +168,8 @@ def problems(results: dict) -> list[str]:
     """Failed runs, and digests that differ within a side or between sides."""
     found = []
     for key, res in results.items():
-        failed = [f"{r['side']} pair {r['pair']}" for r in res["runs"] if not r["correct"]]
+        failed = [f"{r['side']} pair {r['pair']}" + (f" ({r['reason']})" if "reason" in r else "")
+                  for r in res["runs"] if not r["correct"]]
         if failed:
             found.append(f"{key}: runs failed their checks: {', '.join(failed)}")
         base, head = res["digests"]["base"], res["digests"]["head"]
