@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.typing import ArrayLike
 
 from ..errors import MalformedFormatInfo, MalformedInput, PayloadTooLarge, UncorrectableErrors
 
@@ -337,7 +336,7 @@ def version_code(version: int) -> int:
     return (version << 12) | rem
 
 
-def _square(modules: ArrayLike) -> np.ndarray:
+def _square(modules: np.typing.ArrayLike) -> np.ndarray:
     """The module grid as a bool array, refused unless square, 2-D and not empty."""
     try:
         grid = np.asarray(modules, bool)
@@ -597,7 +596,7 @@ def qr_decode(m: QrMatrix) -> bytes:
     return text
 
 
-def matrix_from_modules(modules: ArrayLike) -> QrMatrix:
+def matrix_from_modules(modules: np.typing.ArrayLike) -> QrMatrix:
     """Wrap a raw module grid, inferring version and (best effort) level."""
     grid = _square(modules)
     version, rest = divmod(len(grid) - 17, 4)
