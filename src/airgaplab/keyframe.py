@@ -21,7 +21,7 @@ import binascii
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import CrcMismatch, EmptyPayload, LengthOutOfRange, MalformedInput, PayloadTooLong, SyncNotFound
+from .errors import CrcMismatch, EmptyPayload, LengthOutOfRange, PayloadTooLong, SyncNotFound
 
 PREAMBLE = 0xAAAA
 SYNC_WORD = 0x2DD4
@@ -166,15 +166,3 @@ def frame_decode(bits: list[int]) -> bytes:
                 first_error = exc
     assert first_error is not None
     raise first_error
-
-
-def bits_to_text(bits: list[int]) -> str:
-    """Serialize bits as one ASCII '0'/'1' per bit, newline-terminated."""
-    return "".join("1" if b else "0" for b in bits) + "\n"
-
-
-def text_to_bits(text: str) -> list[int]:
-    stripped = text.strip()
-    if any(ch not in "01" for ch in stripped):
-        raise MalformedInput("bitstream text may contain only '0' and '1'")
-    return [1 if ch == "1" else 0 for ch in stripped]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import EmptyTrace, MalformedInput, NyquistViolation, SignalTooShort, SymbolRateTooHigh
+from .errors import EmptyTrace, NyquistViolation, SignalTooShort, SymbolRateTooHigh
 from .keyframe import HEADER_PATTERN, find_header
 
 MIN_SAMPLES_PER_SYMBOL = 8
@@ -372,47 +372,9 @@ def write_wav(path: str, w: Waveform) -> None:
         fh.writeframes(pcm.tobytes())
 
 
-def read_wav(path: str) -> Waveform:
-    """Mono 16-bit PCM only; anything else raises MalformedInput."""
-    try:
-        with wave.open(path, "rb") as fh:
-            channels, width, rate, count = fh.getnchannels(), fh.getsampwidth(), fh.getframerate(), fh.getnframes()
-            raw = fh.readframes(count)
-    except (wave.Error, EOFError, RuntimeError) as exc:  # RuntimeError: a chunk size runs past the file
-        raise MalformedInput(f"{path}: not a readable WAV file ({str(exc) or 'truncated'})") from None
-    if channels != 1 or width != 2:
-        raise MalformedInput(f"{path}: want mono 16-bit PCM, got {channels} channel(s) of {8 * width}-bit")
-    if len(raw) < 2 * count:
-        raise MalformedInput(f"{path}: data chunk holds {len(raw)} bytes, header declares {count} samples")
-    return Waveform(rate, np.frombuffer(raw, "<i2") / 32767.0)
-
-
 def write_trace_csv(path: str, trace: EventTrace) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["state", "duration_ms"])
         for state, dur in trace.events:
             writer.writerow([state, f"{dur:.6f}"])
-
-
-def read_trace_csv(path: str) -> EventTrace:
-    """Parse UTF-8 state,duration_ms rows; the header row is optional."""
-    events: list[tuple[str, float]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            rows = list(csv.reader(fh))
-        except (UnicodeDecodeError, csv.Error) as exc:
-            raise MalformedInput(f"{path}: not a UTF-8 CSV trace ({exc})") from None
-    for number, row in enumerate(rows, 1):
-        if not row or (number == 1 and row[0] == "state"):
-            continue
-        try:
-            duration = float(row[1])
-        except (IndexError, ValueError):
-            raise MalformedInput(f"trace row {number}: want state,duration_ms, got {row}") from None
-        if not (math.isfinite(duration) and duration >= 0):
-            raise MalformedInput(f"trace row {number}: duration {row[1]!r} is not a finite non-negative number")
-        if row[0] not in ("on", "off"):
-            raise MalformedInput(f"trace row {number}: state {row[0]!r} is neither 'on' nor 'off'")
-        events.append((row[0], duration))
-    return EventTrace(events)

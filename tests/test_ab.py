@@ -3,9 +3,13 @@ digest gate, against stub benchmarks rather than real runs."""
 
 import importlib.util
 import json
+import os
+import shutil
+import signal
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -77,16 +81,22 @@ class TestClaimRule:
 
 
 _STUB = textwrap.dedent('''
-    """Stand-in for bench/run.py: its value and digest come from files beside it."""
-    import argparse, json, pathlib
+    """Stand-in for bench/run.py: its value and digest come from files beside it.
+    "value" holds one value per call, used in turn; "none" prints no result."""
+    import argparse, json, pathlib, sys
     root = pathlib.Path(__file__).resolve().parent.parent
     p = argparse.ArgumentParser()
     for name in ("--workload", "--seed", "--seconds", "--trace"):
         p.add_argument(name)
     a = p.parse_args()
-    value = float((root / "value").read_text())
-    with open(root.parent / "calls", "a") as fh:
+    calls = root.parent / "calls"
+    done = calls.read_text().split().count(root.name) if calls.exists() else 0
+    values = (root / "value").read_text().split()
+    with open(calls, "a") as fh:
         fh.write(root.name + "\\n")
+    if values[done % len(values)] == "none":
+        sys.exit(0)
+    value = float(values[done % len(values)])
     out = root / ".bench_out"
     out.mkdir(exist_ok=True)
     (out / f"result-{a.workload}-seed{a.seed}-trace{a.trace}.json").write_text(json.dumps(
@@ -99,7 +109,7 @@ _STUB = textwrap.dedent('''
 ''')
 
 
-def _stub_root(path: Path, value: float, digest: str) -> Path:
+def _stub_root(path: Path, value: float | str, digest: str) -> Path:
     (path / "bench").mkdir(parents=True)
     (path / "bench" / "run.py").write_text(_STUB)
     (path / "value").write_text(str(value))
@@ -160,3 +170,62 @@ def test_a_timed_out_run_fails_and_the_session_goes_on(tmp_path, monkeypatch):
     assert ab.problems(results)[0] == (
         "artifact-roundtrip/seed1: runs failed their checks: head pair 0 (timed out), head pair 1 (timed out)")
     json.dumps(results)
+
+
+def test_a_failed_run_costs_only_its_pair(tmp_path):
+    """Pair 1's head run prints no result; pairs 0 and 2 are still compared,
+    base and head matched by pair.  Base's pair-1 value would move both its
+    median and the pair wins if it were kept or paired with another pair."""
+    roots = {"base": _stub_root(tmp_path / "base", "100 200 120", "d1"),
+             "head": _stub_root(tmp_path / "head", "150 none 170", "d1")}
+    results = ab.measure(roots, ["artifact-roundtrip"], [1], pairs=3, seconds=0.1, trace=0, log=lambda line: None)
+    res = results["artifact-roundtrip/seed1"]
+    assert [(r["pair"], r["side"], r["correct"]) for r in res["runs"]] == [
+        (0, "base", True), (0, "head", True), (1, "head", False), (1, "base", True),
+        (2, "base", True), (2, "head", True)]
+    ops = res["metrics"]["ops_per_s"]
+    assert ops["pairs"] == 2
+    assert (ops["base"]["median"], ops["head"]["median"]) == (110.0, 160.0)
+    assert (ops["head_wins"], ops["base_wins"], ops["ties"]) == (2, 0, 0)
+    assert res["metrics"]["op_p50_ms"]["head_wins"] == 2
+    assert ab.problems(results)[0] == "artifact-roundtrip/seed1: runs failed their checks: head pair 1"
+
+
+def test_one_pair_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        ab.parse_args(["--base", "HEAD", "--pairs", "1", "--out", "x.json"])
+    assert exc.value.code == 2
+    assert "--pairs must be at least 2" in capsys.readouterr().err
+
+
+def test_sigterm_removes_the_base_export_and_the_running_benchmark(tmp_path):
+    """In a throwaway repository whose bench/run.py records its pid and sleeps."""
+    repo, scratch, pid_file = tmp_path / "repo", tmp_path / "tmp", tmp_path / "bench.pid"
+    (repo / "tools").mkdir(parents=True)
+    (repo / "bench").mkdir()
+    scratch.mkdir()
+    shutil.copy(_PATH, repo / "tools" / "ab.py")
+    (repo / "BENCHMARK.json").write_text(json.dumps({"end_to_end": []}))
+    (repo / "bench" / "run.py").write_text(
+        f"import os, pathlib, time\npathlib.Path({str(pid_file)!r}).write_text(str(os.getpid()))\ntime.sleep(60)\n")
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "stub"]):
+        subprocess.run(["git", "-c", "user.name=ab", "-c", "user.email=ab@example.invalid",
+                        "-c", "commit.gpgsign=false", *args], cwd=repo, check=True, capture_output=True)
+    cmd = [sys.executable, "tools/ab.py", "--base", "HEAD", "--pairs", "2", "--seconds", "1",
+           "--out", str(tmp_path / "out.json")]
+    with subprocess.Popen(cmd, cwd=repo, env={**os.environ, "TMPDIR": str(scratch)},
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True) as proc:
+        try:
+            deadline = time.monotonic() + 60
+            while not (pid_file.exists() and pid_file.read_text()):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+            assert [p.name[:8] for p in scratch.iterdir()] == ["ab-base-"]
+            proc.send_signal(signal.SIGTERM)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+    assert proc.returncode == 143, err
+    assert list(scratch.iterdir()) == []
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid_file.read_text()), 0)

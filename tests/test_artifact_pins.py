@@ -16,7 +16,7 @@ import pytest
 
 from airgaplab.channel import lookup
 from airgaplab.harness import waveform_modem_config
-from airgaplab.keyframe import bits_to_text, frame_encode
+from airgaplab.keyframe import frame_encode
 from airgaplab.mediahide import add_file, create_image, hide_entry, hide_slack
 from airgaplab.modem import (
     bfsk_demodulate,
@@ -87,7 +87,7 @@ def test_seeded_artifacts_keep_their_bytes():
         hide_entry(img, secret)
         images[mib] = hashlib.sha256(img.data).hexdigest()
 
-    frame = bits_to_text(frame_encode(bytes(range(32))))
+    frame = "".join(map(str, frame_encode(bytes(range(32))))) + "\n"
 
     assert symbols.hexdigest() == QR_V3_TO_V10_SHA256
     assert images == IMAGE_SHA256

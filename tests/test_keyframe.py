@@ -10,7 +10,6 @@ from airgaplab.errors import (
     CrcMismatch,
     EmptyPayload,
     LengthOutOfRange,
-    MalformedInput,
     PayloadTooLong,
     SyncNotFound,
 )
@@ -20,7 +19,6 @@ from airgaplab.keyframe import (
     PREAMBLE,
     SYNC_PATTERN,
     SYNC_WORD,
-    bits_to_text,
     crc16,
     decode_body,
     find_header,
@@ -29,7 +27,6 @@ from airgaplab.keyframe import (
     frame_encode,
     hamming74_decode,
     hamming74_encode,
-    text_to_bits,
 )
 
 
@@ -255,27 +252,6 @@ class TestFrameDecode:
                 region[j // 8] ^= 1 << (7 - j % 8)
             region[i // 8] ^= 1 << (7 - i % 8)
         assert misses == 0
-
-
-class TestBitstreamText:
-    def test_round_trip(self):
-        bits = frame_encode(b"fixture")
-        text = bits_to_text(bits)
-        assert text.endswith("\n")
-        assert set(text.strip()) <= {"0", "1"}
-        assert text_to_bits(text) == bits
-
-    def test_rejects_foreign_characters(self):
-        with pytest.raises(ValueError):
-            text_to_bits("0101x01")
-
-    @given(text=st.text(st.one_of(st.sampled_from("01 \n\t"), st.characters())))
-    def test_arbitrary_text_raises_only_malformed_input(self, text):
-        try:
-            bits = text_to_bits(text)
-        except MalformedInput:
-            return
-        assert set(bits) <= {0, 1} and len(bits) <= len(text)
 
 
 def brute_force_header_search(bits, pattern, max_mismatch):

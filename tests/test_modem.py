@@ -1,11 +1,9 @@
 """Modem tests: OOK/BFSK waveforms, event traces, WAV and CSV round trips."""
 
-import io
+import csv
 import math
 import random
-import tempfile
 import tracemalloc
-import wave
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,7 +16,6 @@ from scipy.signal import hilbert
 
 from airgaplab.errors import (
     EmptyTrace,
-    MalformedInput,
     NyquistViolation,
     SignalTooShort,
     SymbolRateTooHigh,
@@ -34,8 +31,6 @@ from airgaplab.modem import (
     bfsk_modulate,
     ook_demodulate,
     ook_modulate,
-    read_trace_csv,
-    read_wav,
     trace_demodulate,
     trace_modulate,
     write_trace_csv,
@@ -549,66 +544,23 @@ def reference_trace_demodulate(events, on_ms, off_ms) -> list[int]:
     return bits
 
 
-@st.composite
-def hostile_wavs(draw):
-    """A 1000-sample write_wav output with up to four header bytes replaced,
-    then cut anywhere or left whole."""
-    clean = io.BytesIO()
-    write_wav(clean, Waveform(8000, np.zeros(1000)))
-    data = bytearray(clean.getvalue())
-    for _ in range(draw(st.integers(0, 4))):
-        data[draw(st.integers(0, 43))] = draw(st.integers(0, 255))
-    return bytes(data[: draw(st.one_of(st.just(len(data)), st.integers(0, len(data))))])
-
-
-def hostile_trace_csvs():
-    """Arbitrary bytes, mixed with the fragments a trace CSV is made of."""
-    fragments = [b"state,duration_ms", b"on", b"off", b",", b"\n", b"\r", b'"', b"12.5", b"-1", b"nan", b"\xff"]
-    return st.lists(st.one_of(st.sampled_from(fragments), st.binary(max_size=4)), max_size=30).map(b"".join)
-
-
 class TestFileFormats:
+    """The writers checked against independent readers: scipy for WAV, csv for traces."""
+
     def test_wav_round_trip(self, tmp_path):
+        from scipy.io import wavfile
+
         rng = random.Random(10)
         w = ook_modulate(random_bits(rng, 64), OOK)
         path = str(tmp_path / "sig.wav")
         write_wav(path, w)
-        back = read_wav(path)
+        rate, data = wavfile.read(path)
+        back = Waveform(rate, data / 32767.0)
         assert back.sample_rate == w.sample_rate
         assert len(back.samples) == len(w.samples)
         assert np.abs(back.samples - w.samples).max() < 1.0 / 32000
         # 16-bit PCM quantization must still round-trip the bits
         assert ook_demodulate(back, OOK) == ook_demodulate(w, OOK)
-
-    @staticmethod
-    def _write_pcm(path, channels, width):
-        with wave.open(str(path), "wb") as fh:
-            fh.setnchannels(channels)
-            fh.setsampwidth(width)
-            fh.setframerate(8000)
-            fh.writeframes(b"\x00" * 64)
-
-    @pytest.mark.parametrize("channels, width", [(2, 2), (1, 1)])
-    def test_wav_rejects_stereo_and_8_bit(self, tmp_path, channels, width):
-        path = tmp_path / "bad.wav"
-        self._write_pcm(path, channels, width)
-        with pytest.raises(MalformedInput):
-            read_wav(str(path))
-
-    def test_wav_rejects_garbage_and_truncated_header(self, tmp_path):
-        good = tmp_path / "good.wav"
-        self._write_pcm(good, 1, 2)
-        full = tmp_path / "full.wav"
-        write_wav(str(full), Waveform(8000, np.zeros(1000)))
-        cuts = [("header-only.wav", full.read_bytes()[:44]), ("short-data.wav", full.read_bytes()[:544])]
-        long_fmt = bytearray(full.read_bytes())
-        long_fmt[16:20] = (4000).to_bytes(4, "little")  # fmt chunk runs past the end of the file
-        cuts.append(("long-fmt.wav", bytes(long_fmt)))
-        for name, data in [("garbage.wav", b"not a wav!"), ("cut.wav", good.read_bytes()[:30])] + cuts:
-            path = tmp_path / name
-            path.write_bytes(data)
-            with pytest.raises(MalformedInput):
-                read_wav(str(path))
 
     def test_wav_bytes_deterministic(self, tmp_path):
         w = bfsk_modulate([1, 0, 1], BFSK)
@@ -627,55 +579,12 @@ class TestFileFormats:
         assert rate == BFSK.sample_rate
         assert data.dtype == np.int16 and data.ndim == 1
         assert np.abs(data / 32767.0 - w.samples).max() < 1.0 / 32000
-        assert np.array_equal(read_wav(path).samples, data / 32767.0)
 
     def test_trace_csv_round_trip(self, tmp_path):
         trace = trace_modulate([1, 0, 1, 1], 12.5, 37.5)
         path = str(tmp_path / "trace.csv")
         write_trace_csv(path, trace)
-        text = Path(path).read_text()
-        assert text.splitlines()[0] == "state,duration_ms"
-        back = read_trace_csv(path)
-        assert [s for s, _ in back.events] == [s for s, _ in trace.events]
-        assert all(math.isclose(a, b) for (_, a), (_, b) in zip(back.events, trace.events))
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "state,duration_ms\non\n",  # short row
-            "on\n",  # short first row, no header
-            "state,duration_ms\non,12.5\noff,soon\n",  # non-numeric duration
-            "state,duration_ms\non,nan\n",  # non-finite duration
-            "state,duration_ms\non,-5\n",  # negative duration
-            "state,duration_ms\nblink,5\n",  # state neither on nor off
-            b"state,duration_ms\non,5\xff\n",  # not UTF-8
-        ],
-    )
-    def test_trace_csv_rejects_malformed_rows(self, tmp_path, text):
-        path = tmp_path / "bad.csv"
-        path.write_bytes(text if isinstance(text, bytes) else text.encode())
-        with pytest.raises(MalformedInput):
-            read_trace_csv(str(path))
-
-    @settings(deadline=None)
-    @given(data=hostile_wavs())
-    def test_wav_reader_raises_only_malformed_input(self, data):
-        with tempfile.TemporaryDirectory() as tmp:  # a fresh file per example
-            path = Path(tmp) / "x.wav"
-            path.write_bytes(data)
-            try:
-                read_wav(str(path))
-            except MalformedInput:
-                pass
-
-    @settings(deadline=None)
-    @given(data=hostile_trace_csvs())
-    def test_trace_csv_reader_raises_only_malformed_input(self, data):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "x.csv"
-            path.write_bytes(data)
-            try:
-                trace = read_trace_csv(str(path))
-            except MalformedInput:
-                return
-            assert all(state in ("on", "off") and d >= 0 for state, d in trace.events)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["state", "duration_ms"]
+        assert rows[1:] == [[state, f"{dur:.6f}"] for state, dur in trace.events]

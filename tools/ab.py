@@ -24,7 +24,9 @@ HEAD's favour, by more than the base's interquartile range.  Which way is
 better comes from ``BENCHMARK.json``.
 
 A run still going ``RUN_TIMEOUT_S`` past ``--seconds`` is killed and
-recorded as failed ("timed out"), and the session goes on to the next.
+recorded as failed ("timed out"), and the session goes on to the next.  A
+failed run drops only its own pair from the metric summary.  SIGTERM kills
+the running benchmark, removes the base export and exits with status 143.
 
 Exit status: 0 when every run passed its checks and both sides produced
 the same digests; 1 otherwise; 2 for a usage error.
@@ -33,27 +35,15 @@ the same digests; 1 otherwise; 2 for a usage error.
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
+import signal
+import statistics
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def _load_measure():
-    """bench/measure.py, loaded by path so bench/ stays off sys.path."""
-    spec = importlib.util.spec_from_file_location("_bench_measure", ROOT / "bench" / "measure.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # where its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
-percentile = _load_measure().percentile  # the benchmark's own quantiles
-
 SIDES = ("base", "head")
 WIN_SHARE = 0.9
 MIN_PAIRS = 10
@@ -63,8 +53,10 @@ RUN_TIMEOUT_S = 900  # beyond --seconds: the setup and CLI probes of one run
 
 
 def quartiles(values: list[float]) -> dict:
-    return {"q1": percentile(values, 0.25), "median": percentile(values, 0.5),
-            "q3": percentile(values, 0.75)}
+    """Linear interpolation between order statistics, as bench/measure.py's
+    percentile; at least two values."""
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3}
 
 
 def compare(base: list[float], head: list[float], better: str | None) -> dict:
@@ -128,15 +120,20 @@ def directions(root: Path) -> dict[str, str]:
 
 
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per-metric comparison of one workload and seed; runs hold "pair" and "side"."""
-    by_side = {side: sorted((r for r in runs if r["side"] == side), key=lambda r: r["pair"])
-               for side in SIDES}
-    names = sorted(set.intersection(*(set(r["metrics"]) for r in runs)))
-    return {
-        name: compare([r["metrics"][name] for r in by_side["base"]],
-                      [r["metrics"][name] for r in by_side["head"]], better.get(name))
-        for name in names
-    }
+    """Per-metric comparison of one workload and seed; runs hold "pair" and "side".
+    Each metric is compared over the pairs whose two runs both report it, so a
+    failed run costs its pair only; a metric with fewer than two such pairs
+    is left out."""
+    metrics = {(r["pair"], r["side"]): r["metrics"] for r in runs}
+    pairs = sorted({r["pair"] for r in runs})
+    out = {}
+    for name in sorted(set().union(*metrics.values())):
+        both = [p for p in pairs if all(name in metrics.get((p, side), {}) for side in SIDES)]
+        if len(both) >= 2:
+            out[name] = {"pairs": len(both), **compare([metrics[p, "base"][name] for p in both],
+                                                       [metrics[p, "head"][name] for p in both],
+                                                       better.get(name))}
+    return out
 
 
 def measure(roots: dict[str, Path], workloads: list[str], seeds: list[int], pairs: int,
@@ -208,13 +205,16 @@ def parse_args(argv):
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--out", type=Path, required=True, help="summary JSON, e.g. BENCH_17.json")
     args = p.parse_args(argv)
-    if args.pairs < 1:
-        p.error("--pairs must be at least 1")
+    if args.pairs < 2:
+        p.error("--pairs must be at least 2: one pair has no spread")
     return args
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    # SIGTERM unwinds like an exception: subprocess.run kills the running
+    # benchmark and the base export is removed on the way out.
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     try:
         base_sha = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
     except subprocess.CalledProcessError:
