@@ -128,7 +128,7 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     pairs = sorted({r["pair"] for r in runs})
     out = {}
     for name in sorted(set().union(*metrics.values())):
-        both = [p for p in pairs if all(name in metrics.get((p, side), {}) for side in SIDES)]
+        both = [p for p in pairs if all(name in metrics[p, side] for side in SIDES)]
         if len(both) >= 2:
             out[name] = {"pairs": len(both), **compare([metrics[p, "base"][name] for p in both],
                                                        [metrics[p, "head"][name] for p in both],
