@@ -24,15 +24,6 @@ MIN_SAMPLES_PER_SYMBOL = 8
 # 512 MiB of float64 rows, far above the 1.25 M samples of a preset's key frame.
 MAX_TX_SAMPLES = 2**26
 
-# Preamble-based symbol-timing search: offsets up to +/-1 symbol are scored
-# by how preamble-like (alternating) the first decision windows look, but a
-# shifted grid is only adopted when its decoded bits actually contain the
-# frame header and the unshifted bits do not.  Payload data that merely
-# tends to alternate therefore never pulls the grid sideways, which keeps
-# arbitrary (unframed) bit round trips exact, while a genuinely misaligned
-# frame still snaps into place.
-TIMING_SCORE_GATE = 0.75
-TIMING_PROBE_SYMBOLS = 16
 HEADER_MATCH_TOLERANCE = 2
 
 
@@ -151,20 +142,22 @@ def _synthesize(bits, cfg: ModemConfig) -> Waveform:
     return Waveform(cfg.sample_rate, rows[np.arange(width) < lengths[:, None]])
 
 
+def _checked(cfg: ModemConfig, scheme: str) -> ModemConfig:
+    """cfg, once it is valid and of the entry point's scheme."""
+    cfg.validate()
+    if cfg.scheme != scheme:
+        raise ValueError(f"config scheme is not {scheme.upper()}")
+    return cfg
+
+
 def ook_modulate(bits, cfg: ModemConfig) -> Waveform:
     """On-off keying: '1' is a sine burst at f_carrier, '0' is silence."""
-    cfg.validate()
-    if cfg.scheme != "ook":
-        raise ValueError("config scheme is not OOK")
-    return _synthesize(bits, cfg)
+    return _synthesize(bits, _checked(cfg, "ook"))
 
 
 def bfsk_modulate(bits, cfg: ModemConfig) -> Waveform:
     """Binary FSK, continuous phase: '0' -> f0, '1' -> f1."""
-    cfg.validate()
-    if cfg.scheme != "bfsk":
-        raise ValueError("config scheme is not BFSK")
-    return _synthesize(bits, cfg)
+    return _synthesize(bits, _checked(cfg, "bfsk"))
 
 
 class _ToneBank:
@@ -219,34 +212,24 @@ class _ToneBank:
         return energies[:, 1] - energies[:, 0]
 
 
-def _alternation_score(soft: np.ndarray) -> float:
-    """How strongly the first windows alternate high/low (preamble shape)."""
-    centered = soft - soft.mean()
-    denom = np.abs(centered).sum()
-    if denom <= 0:
-        return 0.0
-    signs = np.where(np.arange(len(centered)) % 2 == 0, 1.0, -1.0)
-    return float(abs((signs * centered).sum()) / denom)
+def _acquire(bank: _ToneBank, n_symbols: int) -> int:
+    """The grid offset, in sps/8 steps out to one symbol either way, whose
+    first soft symbols best match the frame header.
 
-
-def _propose_offset(bank: _ToneBank, n_symbols: int) -> int:
-    sps = bank.cfg.samples_per_symbol
-    step = max(1, int(round(sps / 4)))
-    probe = min(TIMING_PROBE_SYMBOLS, n_symbols)
-    if probe < 8:
-        return 0
-    zero_score = _alternation_score(bank.soft_symbols(0, probe))
-    best_off, best_score = 0, zero_score
-    for k in sorted(range(-4, 5), key=abs):
-        if k == 0:
-            continue
-        off = k * step
-        score = _alternation_score(bank.soft_symbols(off, probe))
-        if score > best_score + 1e-12:
-            best_off, best_score = off, score
-    if best_off != 0 and best_score < TIMING_SCORE_GATE:
-        return 0
-    return best_off
+    Each offset scores the Pearson correlation of its first (up to 32) soft
+    symbols with the header as +/-1; a flat row scores 0.  Offsets are tried
+    nearest first, so a tie keeps the unshifted grid.
+    """
+    probe = min(len(HEADER_PATTERN), n_symbols)
+    offsets = [round(k * bank.cfg.samples_per_symbol / 8) for k in sorted(range(-8, 9), key=abs)]
+    rows = np.array([bank.soft_symbols(off, probe) for off in offsets])
+    rows -= rows.mean(axis=1, keepdims=True)
+    header = 2.0 * np.array(HEADER_PATTERN[:probe]) - 1.0
+    header -= header.mean()
+    norms = np.sqrt((rows**2).sum(axis=1) * (header**2).sum())
+    live = (np.ptp(rows, axis=1) > 0) & (norms > 0)  # a flat row has no correlation
+    scores = np.divide((rows * header).sum(axis=1), norms, out=np.zeros(len(rows)), where=live)
+    return offsets[int(np.argmax(scores))]
 
 
 def _ook_threshold(energies: np.ndarray, cfg: ModemConfig) -> float:
@@ -280,6 +263,8 @@ def _harden(soft: np.ndarray, cfg: ModemConfig) -> list[int]:
 
 
 def _demodulate(w: Waveform, cfg: ModemConfig) -> list[int]:
+    """Bits on the unshifted symbol grid, or on the grid _acquire finds when
+    only that one holds the frame header: unframed bits never move."""
     if w.sample_rate != cfg.sample_rate:
         raise ValueError("waveform/config sample rate mismatch")
     sps = cfg.samples_per_symbol
@@ -290,27 +275,21 @@ def _demodulate(w: Waveform, cfg: ModemConfig) -> list[int]:
     aligned = _harden(bank.soft_symbols(0, n_symbols), cfg)
     if find_header(aligned, HEADER_PATTERN, HEADER_MATCH_TOLERANCE):
         return aligned
-    proposed = _propose_offset(bank, n_symbols)
-    if proposed == 0:
+    offset = _acquire(bank, n_symbols)
+    if offset == 0:
         return aligned
-    shifted = _harden(bank.soft_symbols(proposed, n_symbols), cfg)
+    shifted = _harden(bank.soft_symbols(offset, n_symbols), cfg)
     return shifted if find_header(shifted, HEADER_PATTERN, HEADER_MATCH_TOLERANCE) else aligned
 
 
 def ook_demodulate(w: Waveform, cfg: ModemConfig) -> list[int]:
     """Energy detection per symbol window with adaptive threshold."""
-    cfg.validate()
-    if cfg.scheme != "ook":
-        raise ValueError("config scheme is not OOK")
-    return _demodulate(w, cfg)
+    return _demodulate(w, _checked(cfg, "ook"))
 
 
 def bfsk_demodulate(w: Waveform, cfg: ModemConfig) -> list[int]:
     """Per-symbol tone comparison: '1' iff energy at f1 exceeds energy at f0."""
-    cfg.validate()
-    if cfg.scheme != "bfsk":
-        raise ValueError("config scheme is not BFSK")
-    return _demodulate(w, cfg)
+    return _demodulate(w, _checked(cfg, "bfsk"))
 
 
 def trace_modulate(bits, on_ms: float, off_ms: float) -> EventTrace:

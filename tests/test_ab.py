@@ -188,7 +188,7 @@ def test_a_failed_run_costs_only_its_pair(tmp_path):
     assert (ops["base"]["median"], ops["head"]["median"]) == (110.0, 160.0)
     assert (ops["head_wins"], ops["base_wins"], ops["ties"]) == (2, 0, 0)
     assert res["metrics"]["op_p50_ms"]["head_wins"] == 2
-    assert ab.problems(results)[0] == "artifact-roundtrip/seed1: runs failed their checks: head pair 1"
+    assert ab.problems(results) == ["artifact-roundtrip/seed1: runs failed their checks: head pair 1"]
 
 
 def test_one_pair_is_a_usage_error(capsys):

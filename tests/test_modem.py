@@ -75,6 +75,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             cfg.validate()
 
+    @pytest.mark.parametrize(
+        "entry, arg, cfg",
+        [
+            (ook_modulate, [1, 0], BFSK),
+            (bfsk_modulate, [1, 0], OOK),
+            (ook_demodulate, Waveform(48000, np.zeros(4800)), BFSK),
+            (bfsk_demodulate, Waveform(8000, np.zeros(800)), OOK),
+        ],
+        ids=["ook_modulate", "bfsk_modulate", "ook_demodulate", "bfsk_demodulate"],
+    )
+    def test_entry_point_refuses_the_other_scheme(self, entry, arg, cfg):
+        with pytest.raises(ValueError, match="config scheme is not"):
+            entry(arg, cfg)
+
     def test_subnormal_symbol_rate_refused_before_synthesis(self):
         cfg = ModemConfig(scheme="ook", symbol_rate=1e-320, sample_rate=8000, f_carrier=1000)
         with pytest.raises(ValueError, match="exceed"):
@@ -101,8 +115,8 @@ class TestOok:
 
     def test_round_trip_100_random_blocks(self):
         rng = random.Random(1)
-        for _ in range(100):
-            bits = random_bits(rng, 128)
+        # The unframed alternating run looks like a preamble without the sync word.
+        for bits in [random_bits(rng, 128) for _ in range(100)] + [[1, 0] * 64]:
             assert ook_demodulate(ook_modulate(bits, OOK), OOK) == bits
 
     def test_round_trip_all_ones(self):
@@ -137,8 +151,7 @@ class TestBfsk:
 
     def test_round_trip_random_blocks(self):
         rng = random.Random(2)
-        for _ in range(40):
-            bits = random_bits(rng, 96)
+        for bits in [random_bits(rng, 96) for _ in range(40)] + [[1, 0] * 64]:
             assert bfsk_demodulate(bfsk_modulate(bits, BFSK), BFSK) == bits
 
     def test_silence_decodes_to_zeros(self):
@@ -214,14 +227,32 @@ class TestBerAt30Db:
 
 
 class TestTimingRecovery:
-    def test_half_symbol_leading_silence_recovered(self):
+    @pytest.mark.parametrize("start", [k / 10 for k in range(-9, 10)])
+    @pytest.mark.parametrize("modulate, demodulate, cfg",
+                             [(ook_modulate, ook_demodulate, OOK), (bfsk_modulate, bfsk_demodulate, BFSK)],
+                             ids=["ook", "bfsk"])
+    def test_recording_start_recovered(self, start, modulate, demodulate, cfg):
+        # A late start leads with silence; an early one (negative) cuts the first samples.
         rng = random.Random(5)
         key = bytes(rng.randrange(256) for _ in range(32))
-        bits = frame_encode(key)
-        w = ook_modulate(bits, OOK)
-        half = int(OOK.samples_per_symbol // 2)
-        shifted = Waveform(OOK.sample_rate, np.concatenate([np.zeros(half), w.samples]))
-        assert frame_decode(ook_demodulate(shifted, OOK)) == key
+        samples = modulate(frame_encode(key), cfg).samples
+        n = round(abs(start) * cfg.samples_per_symbol)
+        samples = np.concatenate([np.zeros(n), samples]) if start > 0 else samples[n:]
+        assert frame_decode(demodulate(Waveform(cfg.sample_rate, samples), cfg)) == key
+
+    def test_late_start_recovered_through_the_channel(self):
+        from airgaplab.channel import apply_waveform_channel, lookup
+        from airgaplab.harness import waveform_modem_config
+
+        preset = lookup("radiot")
+        cfg = waveform_modem_config(preset)
+        lead = np.zeros(round(0.45 * cfg.samples_per_symbol))
+        for seed in range(10):
+            rng = random.Random(seed)
+            key = bytes(rng.randrange(256) for _ in range(32))
+            tx = Waveform(cfg.sample_rate, np.concatenate([lead, ook_modulate(frame_encode(key), cfg).samples]))
+            rx = apply_waveform_channel(tx, preset, snr_db=30, seed=seed)
+            assert frame_decode(ook_demodulate(rx, cfg)) == key, seed
 
     def test_quarter_symbol_offset_recovered(self):
         rng = random.Random(6)

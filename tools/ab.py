@@ -153,7 +153,8 @@ def measure(roots: dict[str, Path], workloads: list[str], seeds: list[int], pair
                         + " ".join(f"{k}={v:.4g}" for k, v in run["metrics"].items()
                                    if k in ("ops_per_s", "op_p50_ms")))
             out[f"{workload}/seed{seed}"] = {
-                "digests": {side: sorted({r["digest"] for r in runs if r["side"] == side}, key=str)
+                "digests": {side: sorted({r["digest"] for r in runs if r["side"] == side and r["correct"]},
+                                         key=str)
                             for side in SIDES},
                 "metrics": summarize(runs, better),
                 "runs": runs,
@@ -162,7 +163,8 @@ def measure(roots: dict[str, Path], workloads: list[str], seeds: list[int], pair
 
 
 def problems(results: dict) -> list[str]:
-    """Failed runs, and digests that differ within a side or between sides."""
+    """Failed runs, and digests of passed runs that differ within a side or
+    between sides."""
     found = []
     for key, res in results.items():
         failed = [f"{r['side']} pair {r['pair']}" + (f" ({r['reason']})" if "reason" in r else "")
