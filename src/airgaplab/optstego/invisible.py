@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import CarrierTooSmall
-from .qr import QrMatrix, _grid, matrix_from_modules, size_for_version
+from .qr import QrMatrix, matrix_from_modules, size_for_version
 
 MIN_AMPLITUDE = 1
 MAX_AMPLITUDE = 16
@@ -67,7 +67,7 @@ def invisible_embed(
         raise CarrierTooSmall(
             f"carrier {carrier.width}x{carrier.height} cannot hold {side}x{side} at offset {offset}"
         )
-    signs = np.where(_grid(m), -amplitude, amplitude).astype(np.int16)  # dark subtracts, light adds
+    signs = np.where(m.grid, -amplitude, amplitude).astype(np.int16)  # dark subtracts, light adds
     out = carrier.pixels.copy()
     region = out[oy : oy + side, ox : ox + side]
     # Each module row's signs, widened to pixels, apply to its `scale` pixel rows.

@@ -347,30 +347,26 @@ def _square(modules: np.typing.ArrayLike) -> np.ndarray:
     return grid
 
 
-@dataclass
+@dataclass(eq=False)
 class QrMatrix:
     """A square module grid; True is a dark module.  Any square 2-D grid is
-    accepted and kept as rows of Python bools, the one place a grid becomes lists."""
+    accepted and kept as a read-only bool copy, `grid`."""
 
     version: int
     ec_level: str | None
-    modules: list[list[bool]]
+    grid: np.ndarray
 
     def __post_init__(self) -> None:
-        self.modules = _square(self.modules).tolist()
+        self.grid = _read_only(_square(self.grid).copy())
+
+    @property
+    def modules(self) -> tuple[tuple[bool, ...], ...]:
+        """The rows as tuples of Python bools, built on each access."""
+        return tuple(map(tuple, self.grid.tolist()))
 
     @property
     def size(self) -> int:
-        return len(self.modules)
-
-    def clone(self) -> "QrMatrix":
-        return QrMatrix(self.version, self.ec_level, self.modules)
-
-
-def _grid(m: QrMatrix) -> np.ndarray:
-    """The module grid as a (size, size) bool array: the rows of Python
-    bools that QrMatrix keeps pack with ``bytes()``."""
-    return np.frombuffer(b"".join(map(bytes, m.modules)), np.uint8).reshape(m.size, m.size) != 0
+        return len(self.grid)
 
 
 # ---- codeword assembly ----
@@ -555,11 +551,10 @@ def read_format(grid: np.ndarray) -> tuple[str, int]:
 def decode_data_codewords(m: QrMatrix) -> tuple[list[int], str]:
     """Unmask, deinterleave and RS-correct every block; returns the data
     codewords plus the recovered level."""
-    grid = _grid(m)
-    level, mask = read_format(grid)
+    level, mask = read_format(m.grid)
     ys, xs, flips = _data_cells(m.version, mask)
     n_bits = TOTAL_CODEWORDS[m.version] * 8
-    stream = np.packbits(grid[ys[:n_bits], xs[:n_bits]] ^ flips[:n_bits])
+    stream = np.packbits(m.grid[ys[:n_bits], xs[:n_bits]] ^ flips[:n_bits])
     concatenated = np.empty_like(stream)
     concatenated[_stream_order(m.version, level)] = stream
     blocks = concatenated.tolist()
@@ -616,7 +611,7 @@ def to_pbm(m: QrMatrix) -> str:
     size = m.size
     # Each row is its digits with a space after each but the last, then "\n".
     raster = np.full((size, 2 * size), ord(" "), np.uint8)
-    raster[:, ::2] = ord("0") + _grid(m)
+    raster[:, ::2] = ord("0") + m.grid
     raster[:, -1] = ord("\n")
     return f"P1\n{size} {size}\n" + raster.tobytes().decode()
 

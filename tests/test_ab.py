@@ -76,6 +76,27 @@ class TestClaimRule:
     def test_no_direction_gives_quartiles_only(self):
         assert set(ab.compare(self.BASE, self.BASE, None)) == {"base", "head"}
 
+    # 0.174 -> 0.219 s is the +26 % lowrate-cliff setup_s move against its 0.25 bound.
+    @pytest.mark.parametrize("base,head,better,flags", [
+        (0.174, 0.219, "lower", True),
+        (0.174, 0.20, "lower", False),
+        (0.219, 0.174, "lower", False),
+        (100.0, 74.0, "higher", True),
+        (100.0, 80.0, "higher", False),
+        (74.0, 100.0, "higher", False),
+    ])
+    def test_beyond_bound(self, base, head, better, flags):
+        got = ab.compare([base] * 10, [head] * 10, better, bound=0.25)
+        assert (got["bound"], got["beyond_bound"]) == (0.25, flags)
+
+    def test_a_better_median_never_flags(self):
+        for factor in (1.01, 1.5, 10.0):
+            assert not ab.compare(self.BASE, [b * factor for b in self.BASE], "higher", bound=0.25)["beyond_bound"]
+            assert not ab.compare(self.BASE, [b / factor for b in self.BASE], "lower", bound=0.25)["beyond_bound"]
+
+    def test_no_bound_records_no_flag(self):
+        assert "beyond_bound" not in ab.compare(self.BASE, self.BASE, "higher")
+
     def test_pair_order_alternates(self):
         assert [ab.pair_order(p) for p in range(3)] == [("base", "head"), ("head", "base"), ("base", "head")]
 
@@ -147,6 +168,23 @@ def test_digest_gate(tmp_path):
     results = _measure(tmp_path, head_digest="d2")
     found = ab.problems(results)
     assert len(found) == 2 and all("differs from the base's d1" in line for line in found)
+
+
+def test_beyond_bound_is_reported_but_is_no_problem(tmp_path):
+    """HEAD at 70 ops/s against the base's 100 is 30 % worse, beyond a 0.25
+    bound read from BENCHMARK.json; the flag is a warning, not a failed run."""
+    roots = {"base": _stub_root(tmp_path / "base", 100.0, "d1"),
+             "head": _stub_root(tmp_path / "head", 70.0, "d1")}
+    (roots["head"] / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "ops_per_s", "better": "higher", "bound": 0.25},
+        {"name": "op_p50_ms", "better": "lower", "bound": 0.5}]}))
+    results = ab.measure(roots, ["artifact-roundtrip"], [1], pairs=2, seconds=0.1, trace=0, log=lambda line: None)
+    metrics = results["artifact-roundtrip/seed1"]["metrics"]
+    assert (metrics["ops_per_s"]["beyond_bound"], metrics["op_p50_ms"]["beyond_bound"]) == (True, False)
+    assert "beyond_bound" not in metrics["undeclared"]
+    assert ab.beyond_bounds(results) == [
+        "artifact-roundtrip/seed1: ops_per_s 100 -> 70 (-30.0%) is beyond its bound of 25%"]
+    assert ab.problems(results) == []
 
 
 def test_a_run_without_a_result_fails(tmp_path):

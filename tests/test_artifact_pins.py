@@ -115,7 +115,7 @@ def test_transmitted_frame_keeps_its_wav_bytes(preset, tmp_path):
 
 
 def test_results_are_python_values():
-    """Bits are a list of int and QR modules are bool, never numpy scalars."""
+    """Bits are a list of int and QR modules are tuple rows of bool, never numpy scalars."""
     bits = frame_encode(bytes(range(32)))
     results = {"frame_encode": bits, "trace_demodulate": trace_demodulate(trace_modulate(bits, 5, 5), 5, 5)}
     for preset, demodulate in (("airhopper", ook_demodulate), ("ultrasonic", bfsk_demodulate)):
@@ -129,5 +129,6 @@ def test_results_are_python_values():
     matrices = [symbol, stego_embed(b"cold wallet", bytes(32), "M"), from_pbm(to_pbm(symbol)),
                 invisible_extract(invisible_embed(GrayImage.uniform(100, 100), symbol), symbol.version)]
     for m in matrices:
+        assert type(m.modules) is tuple and {type(row) for row in m.modules} == {tuple}
         assert {type(cell) for row in m.modules for cell in row} == {bool}
     json.dumps([results, [m.modules for m in matrices]])

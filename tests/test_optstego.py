@@ -29,7 +29,7 @@ from airgaplab.optstego import (
     to_pbm,
 )
 from airgaplab.optstego.invisible import RING_MODULES
-from airgaplab.optstego.qr import QrMatrix, _grid, byte_mode_capacity, size_for_version
+from airgaplab.optstego.qr import QrMatrix, byte_mode_capacity, size_for_version
 
 
 class TestStegoCapacity:
@@ -213,7 +213,7 @@ class TestInvisibleEmbed:
             matrix = qr_encode(bytes(byte_mode_capacity(version, "M")), "M")
             img = invisible_embed(img, matrix, amplitude=6, scale=scale, offset=(left, top))
         got = invisible_extract(img, version, scale=scale, offset=(left, top))
-        assert got.modules == self._slice_mean_grid(img.pixels.astype(np.int64), version, scale, left, top)
+        assert np.array_equal(got.grid, self._slice_mean_grid(img.pixels.astype(np.int64), version, scale, left, top))
 
     def test_extract_rejects_scale_below_one(self):
         with pytest.raises(ValueError):
@@ -247,7 +247,7 @@ class TestGridCellTypes:
     def test_decodes_writes_and_stamps_like_its_bool_twin(self, cells):
         symbol = stego_embed(b"cell types", b"secret", "M")
         twin = QrMatrix(symbol.version, symbol.ec_level, cells(symbol.modules))
-        grid = _grid(twin)
+        grid = twin.grid
         assert grid.dtype == bool and np.array_equal(grid, np.array(twin.modules, bool))
         assert np.array_equal(grid, np.array(symbol.modules))
         assert (qr_decode(twin), stego_extract(twin)) == (b"cell types", b"secret")

@@ -33,7 +33,6 @@ from airgaplab.optstego.qr import (
     rs_encode,
     rs_generator,
     _format_cells,
-    _grid,
     _split_block_lengths,
     _syndromes,
     _zigzag_coords,
@@ -168,15 +167,15 @@ class TestTableOracles:
         for version in range(1, 11):
             text = bytes(rng.randrange(256) for _ in range(byte_mode_capacity(version, "Q")))
             m = matrix_from_data_codewords(assemble_data_codewords(text, version, "Q"), version, "Q")
-            for x, y in _zigzag_coords(version):
-                if (MASK_PATTERNS[0](x, y) == 0) != (MASK_PATTERNS[mask](x, y) == 0):
-                    m.modules[y][x] = not m.modules[y][x]
+            cells = [(y, x) for x, y in _zigzag_coords(version)
+                     if (MASK_PATTERNS[0](x, y) == 0) != (MASK_PATTERNS[mask](x, y) == 0)]
+            # The format cells that must change to hold this mask's word.
             word = format_code("Q", mask)
             ys, xs = _format_cells(m.size)
             for copy_ys, copy_xs in zip(ys.tolist(), xs.tolist()):
-                for i, (y, x) in enumerate(zip(copy_ys, copy_xs)):
-                    m.modules[y][x] = (word >> i) & 1 == 1
-            assert qr_decode(m) == text
+                cells += [(y, x) for i, (y, x) in enumerate(zip(copy_ys, copy_xs))
+                          if m.grid[y, x] != ((word >> i) & 1 == 1)]
+            assert qr_decode(_with_flips(m, cells)) == text
 
 
 class TestCapacity:
@@ -246,17 +245,28 @@ class TestEncodeDecode:
             assert matrix.size == 17 + 4 * matrix.version == expected
 
 
+def _with_flips(matrix: QrMatrix, cells) -> QrMatrix:
+    """A new symbol with each (y, x) of `cells` inverted; asserts that its grid
+    differs from the clean one in exactly those cells, so no flip is lost."""
+    grid = matrix.grid.copy()
+    for y, x in cells:
+        grid[y, x] = not grid[y, x]
+    out = QrMatrix(matrix.version, matrix.ec_level, grid)
+    assert set(map(tuple, np.argwhere(out.grid != matrix.grid).tolist())) == set(cells)
+    return out
+
+
 def _corrupt_codewords(matrix: QrMatrix, interleaved_indices, rng) -> QrMatrix:
     """Flip a random nonzero bit pattern inside each chosen codeword byte."""
     coords = list(_zigzag_coords(matrix.version))
-    out = matrix.clone()
+    cells = []
     for index in interleaved_indices:
         bit_mask = rng.randint(1, 255)
         for bit in range(8):
             if bit_mask & (1 << (7 - bit)):
                 x, y = coords[8 * index + bit]
-                out.modules[y][x] = not out.modules[y][x]
-    return out
+                cells.append((y, x))
+    return _with_flips(matrix, cells)
 
 
 def _block_data_positions(version: int, level: str) -> list[list[int]]:
@@ -359,8 +369,7 @@ class TestFormatInfo:
 
     def test_single_format_bit_damage_tolerated(self):
         matrix = qr_encode(b"format-damage", "Q")
-        matrix.modules[8][0] = not matrix.modules[8][0]
-        assert qr_decode(matrix) == b"format-damage"
+        assert qr_decode(_with_flips(matrix, [(8, 0)])) == b"format-damage"
 
     def test_blank_grid_malformed_format(self):
         size = 21
@@ -402,10 +411,10 @@ def _assert_format_reads_like_reference(first: int, second: int) -> None:
         want = _reference_read_format(m)
     except MalformedFormatInfo as exc:
         with pytest.raises(MalformedFormatInfo) as got:
-            read_format(_grid(m))
+            read_format(m.grid)
         assert str(got.value) == str(exc)
     else:
-        assert read_format(_grid(m)) == want
+        assert read_format(m.grid) == want
 
 
 def _flip(word: int, rng: random.Random, count: int) -> int:
@@ -457,6 +466,35 @@ class TestReadFormatReference:
                 _assert_format_reads_like_reference(halfway, rng.getrandbits(15))
                 _assert_format_reads_like_reference(_flip(a, rng, len(differ) // 2), halfway)
         assert ties > 0
+
+
+class TestReadOnlyGrid:
+    """A symbol keeps its own read-only grid: no write reaches it, and
+    none is dropped without an error."""
+
+    def test_grid_is_read_only(self):
+        m = qr_encode(b"read only", "M")
+        assert m.grid.dtype == bool and m.grid.shape == (m.size, m.size)
+        assert not m.grid.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            m.grid[0, 0] = not m.grid[0, 0]
+
+    @pytest.mark.parametrize(
+        "wrap", [lambda g: QrMatrix(2, "M", g), matrix_from_modules], ids=["QrMatrix", "matrix_from_modules"]
+    )
+    def test_source_array_written_after_construction(self, wrap):
+        source = qr_encode(b"x" * 20, "M").grid.copy()
+        m = wrap(source)
+        clean, pbm = m.grid.copy(), to_pbm(m)
+        source[:] = ~source
+        assert np.array_equal(m.grid, clean) and to_pbm(m) == pbm
+
+    def test_modules_rows_refuse_a_cell_write(self):
+        m = qr_encode(b"tuple rows", "M")
+        assert type(m.modules) is tuple and {type(row) for row in m.modules} == {tuple}
+        with pytest.raises(TypeError):
+            m.modules[0][0] = True
+        assert np.array_equal(m.modules, m.grid)
 
 
 class TestPbm:

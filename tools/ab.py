@@ -28,6 +28,12 @@ recorded as failed ("timed out"), and the session goes on to the next.  A
 failed run drops only its own pair from the metric summary.  SIGTERM kills
 the running benchmark, removes the base export and exits with status 143.
 
+A metric whose BENCHMARK.json entry has a ``bound`` (the end-to-end ones)
+is flagged ``beyond_bound`` when HEAD's median is worse than the base's by
+more than that bound, as a share of the base's median (never when that
+median is 0).  Each hit prints a ``BEYOND BOUND:`` line; it is a warning
+and leaves the exit status alone.
+
 Exit status: 0 when every run passed its checks and both sides produced
 the same digests; 1 otherwise; 2 for a usage error.
 """
@@ -59,9 +65,10 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def compare(base: list[float], head: list[float], better: str | None) -> dict:
-    """Quartiles of each side and, given which way is better, the pair wins
-    and whether the claim rule holds.  base[i] and head[i] are pair i."""
+def compare(base: list[float], head: list[float], better: str | None, bound: float | None = None) -> dict:
+    """Quartiles of each side and, given which way is better, the pair wins,
+    whether the claim rule holds and, given a bound, whether HEAD's median is
+    worse by more than it.  base[i] and head[i] are pair i."""
     out = {"base": quartiles(base), "head": quartiles(head)}
     if better is None:
         return out
@@ -77,6 +84,9 @@ def compare(base: list[float], head: list[float], better: str | None) -> dict:
         change=(out["head"]["median"] - base_median) / base_median if base_median else None,
         claim=len(base) >= MIN_PAIRS and head_wins >= WIN_SHARE * len(base) and gap > iqr,
     )
+    if bound is not None:
+        out["bound"] = bound
+        out["beyond_bound"] = out["change"] is not None and -sign * out["change"] > bound
     return out
 
 
@@ -113,13 +123,14 @@ def run_bench(root: Path, workload: str, seed: int, seconds: float, trace: int) 
     }
 
 
-def directions(root: Path) -> dict[str, str]:
-    """Metric name -> "higher" or "lower", as BENCHMARK.json declares."""
+def declared(root: Path) -> dict[str, dict]:
+    """Metric name -> its BENCHMARK.json entry: "better" ("higher" or
+    "lower") and, for the end-to-end metrics, "bound"."""
     spec = json.loads((root / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec.get("per_layer", [])}
+    return {m["name"]: m for m in spec["end_to_end"] + spec.get("per_layer", [])}
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+def summarize(runs: list[dict], spec: dict[str, dict]) -> dict:
     """Per-metric comparison of one workload and seed; runs hold "pair" and "side".
     Each metric is compared over the pairs whose two runs both report it, so a
     failed run costs its pair only; a metric with fewer than two such pairs
@@ -130,16 +141,17 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     for name in sorted(set().union(*metrics.values())):
         both = [p for p in pairs if all(name in metrics[p, side] for side in SIDES)]
         if len(both) >= 2:
+            entry = spec.get(name, {})
             out[name] = {"pairs": len(both), **compare([metrics[p, "base"][name] for p in both],
                                                        [metrics[p, "head"][name] for p in both],
-                                                       better.get(name))}
+                                                       entry.get("better"), entry.get("bound"))}
     return out
 
 
 def measure(roots: dict[str, Path], workloads: list[str], seeds: list[int], pairs: int,
             seconds: float, trace: int, log=print) -> dict:
     """Every pair of every workload and seed, with the per-metric summary."""
-    better = directions(roots["head"])
+    spec = declared(roots["head"])
     out = {}
     for workload in workloads:
         for seed in seeds:
@@ -156,7 +168,7 @@ def measure(roots: dict[str, Path], workloads: list[str], seeds: list[int], pair
                 "digests": {side: sorted({r["digest"] for r in runs if r["side"] == side and r["correct"]},
                                          key=str)
                             for side in SIDES},
-                "metrics": summarize(runs, better),
+                "metrics": summarize(runs, spec),
                 "runs": runs,
             }
     return out
@@ -177,6 +189,14 @@ def problems(results: dict) -> list[str]:
         elif base != head:
             found.append(f"{key}: digest {head[0]} differs from the base's {base[0]}")
     return found
+
+
+def beyond_bounds(results: dict) -> list[str]:
+    """One line per metric whose HEAD median is worse than the base's by more
+    than its bound."""
+    return [f"{key}: {name} {m['base']['median']:.4g} -> {m['head']['median']:.4g} "
+            f"({m['change']:+.1%}) is beyond its bound of {m['bound']:.0%}"
+            for key, res in results.items() for name, m in res["metrics"].items() if m.get("beyond_bound")]
 
 
 def git(*args: str) -> str:
@@ -242,6 +262,8 @@ def main(argv=None) -> int:
         "results": results,
     }
     args.out.write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n")
+    for line in beyond_bounds(results):
+        sys.stderr.write(f"BEYOND BOUND: {line}\n")
     for line in found:
         sys.stderr.write(f"FAILED: {line}\n")
     return 1 if found else 0
