@@ -94,23 +94,24 @@ def waveform_modem_config(
     The acoustic presets use the real near-ultrasonic BFSK pair at 48 kHz;
     the modeled EM/electric/magnetic pipes run OOK at a carrier and sample
     rate scaled to their bit rate (16 cycles per symbol, >=100 samples per
-    symbol), which keeps slow channels cheap to synthesize.
+    symbol), which keeps slow channels cheap to synthesize.  f0 and f1
+    override the BFSK space and mark tones, or f0 the OOK carrier; an OOK
+    preset has no second tone, so f1 there raises ValueError.
     """
     rate = _bit_rate(preset, symbol_rate)
     if preset.band is not None:
         return modem.ModemConfig(
-            scheme="bfsk",
+            tones=(f0 if f0 is not None else ULTRASONIC_F0, f1 if f1 is not None else ULTRASONIC_F1),
             symbol_rate=rate,
             sample_rate=ULTRASONIC_SAMPLE_RATE,
-            f0=f0 if f0 is not None else ULTRASONIC_F0,
-            f1=f1 if f1 is not None else ULTRASONIC_F1,
             amplitude=TX_AMPLITUDE,
         )
+    if f1 is not None:
+        raise ValueError(f"{preset.name} sends OOK on one tone, set by f0; f1 has no tone to set")
     return modem.ModemConfig(
-        scheme="ook",
+        tones=(f0 if f0 is not None else 16.0 * rate,),
         symbol_rate=rate,
         sample_rate=int(round(min(48000.0, max(1000.0, 200 * rate)))),
-        f_carrier=(f0 if f0 is not None else 16.0 * rate),
         amplitude=TX_AMPLITUDE,
     )
 

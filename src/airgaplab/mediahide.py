@@ -309,8 +309,11 @@ def read_file(img: FatImage, name: str) -> bytes:
     first, size = _extent(img, _find_entry(img, name))
     if size == 0:
         return b""
+    clusters = img.chain(first)
+    if len(clusters) * CLUSTER_BYTES < size:
+        raise MalformedInput(f"{name}: size {size} needs more than the {len(clusters)} clusters of its chain")
     out = bytearray()
-    for cluster in img.chain(first):
+    for cluster in clusters:
         start = img.cluster_offset(cluster)
         out += img.data[start : start + CLUSTER_BYTES]
     return bytes(out[:size])

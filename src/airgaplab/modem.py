@@ -41,31 +41,29 @@ class Waveform:
 
 @dataclass
 class ModemConfig:
-    scheme: str = "ook"  # "ook" or "bfsk"
+    """One tone is OOK at that carrier; two tones are BFSK, as (space, mark)."""
+
+    tones: tuple[float, ...] = (18000.0,)
     symbol_rate: float = 20.0
     sample_rate: int = 48000
-    f_carrier: float = 18000.0  # OOK tone
-    f0: float = 17500.0  # BFSK space tone
-    f1: float = 18500.0  # BFSK mark tone
     amplitude: float = 0.8
+
+    @property
+    def scheme(self) -> str:
+        return "ook" if len(self.tones) == 1 else "bfsk"
 
     @property
     def samples_per_symbol(self) -> float:
         return self.sample_rate / self.symbol_rate
 
-    def tones(self) -> list[float]:
-        return [self.f_carrier] if self.scheme == "ook" else [self.f0, self.f1]
-
     def validate(self) -> None:
-        if self.scheme not in ("ook", "bfsk"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+        if len(set(self.tones)) != len(self.tones) or not 1 <= len(self.tones) <= 2:
+            raise ValueError(f"tones {self.tones}: OOK takes one tone, BFSK two distinct ones")
         if not self.symbol_rate > 0:
             raise ValueError("symbol_rate must be positive")
         if not 0.0 <= self.amplitude <= 1.0:
             raise ValueError("amplitude must lie in [0, 1]")
-        if self.scheme == "bfsk" and self.f0 == self.f1:
-            raise ValueError("BFSK requires two distinct tones")
-        for tone in self.tones():
+        for tone in self.tones:
             if tone >= self.sample_rate / 2:
                 raise NyquistViolation(f"tone {tone} Hz >= Nyquist {self.sample_rate / 2} Hz")
             if not math.isfinite(tone):
@@ -122,9 +120,8 @@ def _synthesize(bits, cfg: ModemConfig) -> Waveform:
     bits = bits.astype(np.intp)
     # Tone and amplitude of bit 0 and bit 1.  An OOK '0' is the carrier at
     # zero amplitude, so the carrier's phase keeps running through it.
-    ook = cfg.scheme == "ook"
-    freqs = np.array([cfg.f_carrier] * 2 if ook else [cfg.f0, cfg.f1], dtype=np.float64)
-    gains = np.array([0.0 if ook else cfg.amplitude, cfg.amplitude])
+    freqs = np.resize(np.asarray(cfg.tones, np.float64), 2)
+    gains = np.array([0.0 if cfg.scheme == "ook" else cfg.amplitude, cfg.amplitude])
     lengths = np.diff(_symbol_boundaries(bits.size, cfg))
     per_tone = lengths[:, None] * (bits[:, None] == np.arange(2))
     sent = np.cumsum(per_tone, axis=0) - per_tone  # samples at each tone before symbol k
@@ -151,12 +148,12 @@ def _checked(cfg: ModemConfig, scheme: str) -> ModemConfig:
 
 
 def ook_modulate(bits, cfg: ModemConfig) -> Waveform:
-    """On-off keying: '1' is a sine burst at f_carrier, '0' is silence."""
+    """On-off keying: '1' is a sine burst at the one tone, '0' is silence."""
     return _synthesize(bits, _checked(cfg, "ook"))
 
 
 def bfsk_modulate(bits, cfg: ModemConfig) -> Waveform:
-    """Binary FSK, continuous phase: '0' -> f0, '1' -> f1."""
+    """Binary FSK, continuous phase: '0' -> the space tone, '1' -> the mark tone."""
     return _synthesize(bits, _checked(cfg, "bfsk"))
 
 
@@ -176,7 +173,7 @@ class _ToneBank:
         self.cfg = cfg
         self.width = math.ceil(cfg.samples_per_symbol)
         self.samples = np.asarray(samples, dtype=np.float64)
-        angles = np.outer(2.0 * np.pi * np.asarray(cfg.tones()) / cfg.sample_rate, np.arange(self.width))
+        angles = np.outer(2.0 * np.pi * np.asarray(cfg.tones) / cfg.sample_rate, np.arange(self.width))
         self._table = np.vstack((np.cos(angles), np.sin(angles)))
 
     def _windows(self, starts: np.ndarray) -> np.ndarray:
@@ -194,7 +191,7 @@ class _ToneBank:
     def soft_symbols(self, offset: int, n_symbols: int) -> np.ndarray:
         """Per-symbol decision statistic at a given sample offset.
 
-        OOK: correlation energy at the carrier.  BFSK: energy(f1) - energy(f0).
+        OOK: correlation energy at the carrier.  BFSK: energy(mark) - energy(space).
         """
         bounds = _symbol_boundaries(n_symbols, self.cfg) + offset
         starts, short = bounds[:-1], np.diff(bounds) < self.width  # short: floor(sps)-long windows
@@ -288,7 +285,7 @@ def ook_demodulate(w: Waveform, cfg: ModemConfig) -> list[int]:
 
 
 def bfsk_demodulate(w: Waveform, cfg: ModemConfig) -> list[int]:
-    """Per-symbol tone comparison: '1' iff energy at f1 exceeds energy at f0."""
+    """Per-symbol tone comparison: '1' iff the mark tone's energy exceeds the space tone's."""
     return _demodulate(w, _checked(cfg, "bfsk"))
 
 

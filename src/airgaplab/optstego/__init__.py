@@ -8,7 +8,6 @@ from .qr import (
     QrMatrix,
     byte_mode_capacity,
     from_pbm,
-    matrix_from_modules,
     qr_decode,
     qr_encode,
     to_pbm,
@@ -25,7 +24,6 @@ __all__ = [
     "from_pbm",
     "invisible_embed",
     "invisible_extract",
-    "matrix_from_modules",
     "qr_decode",
     "qr_encode",
     "stego_capacity",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import CarrierTooSmall
-from .qr import QrMatrix, matrix_from_modules, size_for_version
+from .qr import QrMatrix, _check_version, size_for_version
 
 MIN_AMPLITUDE = 1
 MAX_AMPLITUDE = 16
@@ -89,6 +89,7 @@ def invisible_extract(
     surrounding ring; ties fall to light, so a flat carrier with no symbol
     yields an all-light grid.
     """
+    _check_version(version)
     if scale < 1:
         raise ValueError("scale must be at least 1 pixel per module")
     n_modules = size_for_version(version)
@@ -123,4 +124,4 @@ def invisible_extract(
     ring_width = np.minimum(left + scale + ring, img.width) - np.maximum(left - ring, 0)
     ring_area = ring_height[:, None] * ring_width - scale * scale
     modules = block_sum / (scale * scale) < (outer_sum - block_sum) / ring_area
-    return matrix_from_modules(modules)
+    return QrMatrix(modules)

@@ -349,15 +349,31 @@ def _square(modules: np.typing.ArrayLike) -> np.ndarray:
 
 @dataclass(eq=False)
 class QrMatrix:
-    """A square module grid; True is a dark module.  Any square 2-D grid is
-    accepted and kept as a read-only bool copy, `grid`."""
+    """A square module grid; True is a dark module.  A grid of a version's
+    side is accepted and kept as a read-only bool copy, `grid`; the side
+    fixes the version, and the format information names the level."""
 
-    version: int
-    ec_level: str | None
     grid: np.ndarray
 
     def __post_init__(self) -> None:
-        self.grid = _read_only(_square(self.grid).copy())
+        grid = _square(self.grid)
+        version, rest = divmod(len(grid) - 17, 4)
+        if rest or not MIN_VERSION <= version <= MAX_VERSION:
+            raise MalformedInput(f"symbol side {len(grid)} is not a version {MIN_VERSION}..{MAX_VERSION} QR")
+        self.grid = _read_only(grid.copy())
+
+    @property
+    def version(self) -> int:
+        return (self.size - 17) // 4
+
+    @property
+    def ec_level(self) -> str | None:
+        """The level the format information names, or None when neither copy
+        is near a format word; read on each access, never by the decoder."""
+        try:
+            return read_format(self.grid)[0]
+        except MalformedFormatInfo:
+            return None
 
     @property
     def modules(self) -> tuple[tuple[bool, ...], ...]:
@@ -511,7 +527,7 @@ def matrix_from_data_codewords(data_codewords: list[int], version: int, ec_level
     modules = _function_template(version)[1].copy()
     _place_codewords(modules, interleave(data_codewords, version, ec_level), version, mask=0)
     modules[_format_cells(len(modules))] = _FORMAT_WORDS[ec_level, 0] >> np.arange(15) & 1
-    return QrMatrix(version, ec_level, modules)
+    return QrMatrix(modules)
 
 
 def select_version(payload_len: int, ec_level: str, extra_pad_bytes: int = 0) -> int:
@@ -591,19 +607,6 @@ def qr_decode(m: QrMatrix) -> bytes:
     return text
 
 
-def matrix_from_modules(modules: np.typing.ArrayLike) -> QrMatrix:
-    """Wrap a raw module grid, inferring version and (best effort) level."""
-    grid = _square(modules)
-    version, rest = divmod(len(grid) - 17, 4)
-    if rest or not MIN_VERSION <= version <= MAX_VERSION:
-        raise MalformedInput(f"symbol side {len(grid)} is not a version {MIN_VERSION}..{MAX_VERSION} QR")
-    try:
-        level = read_format(grid)[0]
-    except MalformedFormatInfo:
-        level = None
-    return QrMatrix(version, level, grid)
-
-
 # ---- PBM serialization (portable bitmap, ASCII P1, dark = 1) ----
 
 
@@ -644,4 +647,4 @@ def from_pbm(text: str) -> QrMatrix:
     pixels = np.frombuffer(data, np.uint8)
     if len(data) != len(bits) or ((pixels | 1) != ord("1")).any():
         raise MalformedInput("PBM pixels must be 0 or 1")
-    return matrix_from_modules((pixels == ord("1")).reshape(height, width))  # refuses width != height
+    return QrMatrix((pixels == ord("1")).reshape(height, width))  # refuses width != height

@@ -185,6 +185,34 @@ def test_beyond_bound_is_reported_but_is_no_problem(tmp_path):
     assert ab.problems(results) == []
 
 
+def test_setup_probes_pool_per_side(tmp_path):
+    """Each side's three probes from each of its two runs, pooled."""
+    res = _measure(tmp_path)["artifact-roundtrip/seed1"]
+    for side in ab.SIDES:
+        assert res["setup_probes"][side] == pytest.approx(
+            {"probes": 6, "q1": 0.125, "median": 0.2, "q3": 0.275})
+    runs = [{"side": "base", "setup_samples_s": [0.17, 0.18, 0.40]},
+            {"side": "base", "setup_samples_s": None},  # a run that printed no result
+            {"side": "head", "setup_samples_s": [0.21]}]
+    assert ab.pooled_setup(runs) == {"base": {"probes": 3, **ab.quartiles([0.17, 0.18, 0.40])}}
+
+
+def test_setup_s_beyond_bound_quotes_the_pooled_probes():
+    """The +26 % lowrate-cliff setup_s move, with probe medians 0.18 and
+    0.19 s that show the move is the probes' spread, not the code."""
+    probes = {"base": ab.quartiles([0.17, 0.18, 0.40]), "head": ab.quartiles([0.18, 0.19, 0.41])}
+    results = {"lowrate-cliff/seed1": {
+        "metrics": {"setup_s": ab.compare([0.174] * 10, [0.219] * 10, "lower", bound=0.25),
+                    "op_p50_ms": ab.compare([1.0] * 10, [2.0] * 10, "lower", bound=0.25)},
+        "setup_probes": probes}}
+    assert ab.beyond_bounds(results) == [
+        "lowrate-cliff/seed1: setup_s 0.174 -> 0.219 (+25.9%) is beyond its bound of 25%; "
+        "pooled setup probes 0.18 -> 0.19",
+        "lowrate-cliff/seed1: op_p50_ms 1 -> 2 (+100.0%) is beyond its bound of 25%"]
+    del results["lowrate-cliff/seed1"]["setup_probes"]["head"]
+    assert ab.beyond_bounds(results)[0].endswith("is beyond its bound of 25%")
+
+
 def test_a_run_without_a_result_fails(tmp_path):
     results = _measure(tmp_path)
     results["artifact-roundtrip/seed1"]["runs"][1]["correct"] = False

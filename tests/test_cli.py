@@ -124,6 +124,13 @@ class TestExfil:
         assert got == code
         assert ("usage:" if code == 2 else "error: NyquistViolation") in capsys.readouterr().err
 
+    def test_f1_on_an_ook_preset_is_a_usage_error(self, capsys):
+        """An OOK preset has one tone; a mark tone for it is refused, not ignored."""
+        with pytest.raises(SystemExit) as exc:
+            main(["exfil", "--channel", "gsmem", "--seed", "1", "--f1", "900"])
+        assert exc.value.code == 2
+        assert "gsmem sends OOK on one tone, set by f0" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_non_finite_snr_usage_error(self, capsys, tmp_path):

@@ -38,8 +38,8 @@ from airgaplab.modem import (
 )
 from airgaplab.modem import _demodulate, _symbol_boundaries, _synthesize, _ToneBank, sample_count
 
-OOK = ModemConfig(scheme="ook", symbol_rate=100, sample_rate=8000, f_carrier=1000, amplitude=0.8)
-BFSK = ModemConfig(scheme="bfsk", symbol_rate=20, sample_rate=48000, f0=17500, f1=18500, amplitude=0.8)
+OOK = ModemConfig(tones=(1000,), symbol_rate=100, sample_rate=8000, amplitude=0.8)
+BFSK = ModemConfig(tones=(17500, 18500), symbol_rate=20, sample_rate=48000, amplitude=0.8)
 
 
 def random_bits(rng, n):
@@ -48,26 +48,31 @@ def random_bits(rng, n):
 
 class TestConfigValidation:
     def test_nyquist_violation(self):
-        cfg = ModemConfig(scheme="ook", symbol_rate=100, sample_rate=8000, f_carrier=4000)
+        cfg = ModemConfig(tones=(4000,), symbol_rate=100, sample_rate=8000)
         with pytest.raises(NyquistViolation):
             cfg.validate()
 
     def test_symbol_rate_too_high(self):
-        cfg = ModemConfig(scheme="ook", symbol_rate=2000, sample_rate=8000, f_carrier=1000)
+        cfg = ModemConfig(tones=(1000,), symbol_rate=2000, sample_rate=8000)
         with pytest.raises(SymbolRateTooHigh):
             cfg.validate()
 
+    @pytest.mark.parametrize("tones", [(), (17000, 17500, 18500)], ids=["no-tone", "three-tones"])
+    def test_one_or_two_tones(self, tones):
+        with pytest.raises(ValueError, match="OOK takes one tone, BFSK two"):
+            ModemConfig(tones, symbol_rate=20, sample_rate=48000).validate()
+
     def test_bfsk_needs_distinct_tones(self):
-        cfg = ModemConfig(scheme="bfsk", symbol_rate=10, sample_rate=48000, f0=18000, f1=18000)
+        cfg = ModemConfig(tones=(18000, 18000), symbol_rate=10, sample_rate=48000)
         with pytest.raises(ValueError):
             cfg.validate()
 
     @pytest.mark.parametrize(
         "cfg",
         [
-            ModemConfig(scheme="bfsk", symbol_rate=20, sample_rate=48000, f0=math.nan, f1=18500),
-            ModemConfig(scheme="ook", symbol_rate=100, sample_rate=8000, f_carrier=-math.inf),
-            ModemConfig(scheme="ook", symbol_rate=math.nan, sample_rate=8000, f_carrier=1000),
+            ModemConfig(tones=(math.nan, 18500), symbol_rate=20, sample_rate=48000),
+            ModemConfig(tones=(-math.inf,), symbol_rate=100, sample_rate=8000),
+            ModemConfig(tones=(1000,), symbol_rate=math.nan, sample_rate=8000),
         ],
         ids=["nan-f0", "minus-inf-carrier", "nan-symbol-rate"],
     )
@@ -90,7 +95,7 @@ class TestConfigValidation:
             entry(arg, cfg)
 
     def test_subnormal_symbol_rate_refused_before_synthesis(self):
-        cfg = ModemConfig(scheme="ook", symbol_rate=1e-320, sample_rate=8000, f_carrier=1000)
+        cfg = ModemConfig(tones=(1000,), symbol_rate=1e-320, sample_rate=8000)
         with pytest.raises(ValueError, match="exceed"):
             ook_modulate([], cfg)
 
@@ -104,7 +109,7 @@ class TestOok:
         assert np.all(w.samples == 0.0)
 
     def test_frame_duration_at_20_symbols_per_second(self):
-        cfg = ModemConfig(scheme="ook", symbol_rate=20, sample_rate=8000, f_carrier=1000)
+        cfg = ModemConfig(tones=(1000,), symbol_rate=20, sample_rate=8000)
         w = ook_modulate([1] * 522, cfg)
         assert w.duration == pytest.approx(26.1, abs=1e-9)
 
@@ -131,7 +136,7 @@ class TestOok:
 
     def test_duration_law_no_drift(self):
         # awkward ratio: 8000/30 = 266.67 samples/symbol
-        cfg = ModemConfig(scheme="ook", symbol_rate=30, sample_rate=8000, f_carrier=1000)
+        cfg = ModemConfig(tones=(1000,), symbol_rate=30, sample_rate=8000)
         for n in (1, 7, 100, 522):
             w = ook_modulate([1] * n, cfg)
             assert abs(len(w.samples) - n * cfg.samples_per_symbol) < 1.0
@@ -139,14 +144,14 @@ class TestOok:
 
 class TestBfsk:
     def test_single_one_is_pure_mark_tone(self):
-        cfg = ModemConfig(scheme="bfsk", symbol_rate=10, sample_rate=48000, f0=17500, f1=18500, amplitude=1.0)
+        cfg = ModemConfig(tones=(17500, 18500), symbol_rate=10, sample_rate=48000, amplitude=1.0)
         w = bfsk_modulate([1], cfg)
         assert len(w.samples) == 4800
         n = np.arange(4800)
         assert np.allclose(w.samples, np.sin(2 * np.pi * 18500 * n / 48000), atol=1e-9)
 
     def test_zero_amplitude_all_zero_samples(self):
-        cfg = ModemConfig(scheme="bfsk", symbol_rate=20, sample_rate=48000, f0=17500, f1=18500, amplitude=0.0)
+        cfg = ModemConfig(tones=(17500, 18500), symbol_rate=20, sample_rate=48000, amplitude=0.0)
         assert np.all(bfsk_modulate([1, 0, 1], cfg).samples == 0.0)
 
     def test_round_trip_random_blocks(self):
@@ -160,7 +165,7 @@ class TestBfsk:
     def test_phase_continuity(self):
         rng = random.Random(3)
         w = bfsk_modulate(random_bits(rng, 40), BFSK)
-        bound = 2 * np.pi * max(BFSK.f0, BFSK.f1) / BFSK.sample_rate
+        bound = 2 * np.pi * max(BFSK.tones) / BFSK.sample_rate
         # The Hilbert estimate rings ~0.5% at frequency steps; a true phase
         # discontinuity overshoots by tens of percent (see negative control).
         assert self._max_phase_step(w.samples) <= bound * 1.05
@@ -210,7 +215,7 @@ class TestBerAt30Db:
 
         rng = random.Random(30)
         bits = random_bits(rng, 10_000)
-        cfg = ModemConfig(scheme="ook", symbol_rate=800, sample_rate=48000, f_carrier=6000, amplitude=0.8)
+        cfg = ModemConfig(tones=(6000,), symbol_rate=800, sample_rate=48000, amplitude=0.8)
         rx = apply_waveform_channel(ook_modulate(bits, cfg), lookup("airhopper"), snr_db=30, seed=77)
         errors = sum(a != b for a, b in zip(ook_demodulate(rx, cfg), bits))
         assert errors == 0
@@ -220,7 +225,7 @@ class TestBerAt30Db:
 
         rng = random.Random(31)
         bits = random_bits(rng, 10_000)
-        cfg = ModemConfig(scheme="bfsk", symbol_rate=400, sample_rate=48000, f0=16500, f1=18500, amplitude=0.8)
+        cfg = ModemConfig(tones=(16500, 18500), symbol_rate=400, sample_rate=48000, amplitude=0.8)
         rx = apply_waveform_channel(bfsk_modulate(bits, cfg), lookup("ultrasonic"), snr_db=30, seed=78)
         errors = sum(a != b for a, b in zip(bfsk_demodulate(rx, cfg), bits))
         assert errors == 0
@@ -266,8 +271,8 @@ class TestTimingRecovery:
     @pytest.mark.parametrize(
         "cfg",
         [
-            ModemConfig(scheme="ook", symbol_rate=30, sample_rate=8000, f_carrier=1000),
-            ModemConfig(scheme="bfsk", symbol_rate=30, sample_rate=8000, f0=1500, f1=2500),
+            ModemConfig(tones=(1000,), symbol_rate=30, sample_rate=8000),
+            ModemConfig(tones=(1500, 2500), symbol_rate=30, sample_rate=8000),
         ],
     )
     def test_three_quarter_symbol_offset_at_non_integer_sps(self, cfg):
@@ -291,7 +296,7 @@ def brute_force_soft_symbols(samples, cfg, offset, n_symbols):
             min(max(round(j * cfg.sample_rate / cfg.symbol_rate) + offset, 0), len(samples)) for j in (i, i + 1)
         )
         energy = {}
-        for tone in cfg.tones():
+        for tone in cfg.tones:
             c = s = 0.0
             for n in range(a, b):
                 angle = 2.0 * math.pi * tone * n / cfg.sample_rate
@@ -299,7 +304,7 @@ def brute_force_soft_symbols(samples, cfg, offset, n_symbols):
                 s += samples[n] * math.sin(angle)
             energy[tone] = c * c + s * s
             peak = max(peak, energy[tone])
-        soft.append(energy[cfg.f_carrier] if cfg.scheme == "ook" else energy[cfg.f1] - energy[cfg.f0])
+        soft.append(energy[cfg.tones[0]] if cfg.scheme == "ook" else energy[cfg.tones[1]] - energy[cfg.tones[0]])
     return np.array(soft), peak
 
 
@@ -316,7 +321,7 @@ def receiver_cases(draw):
     scheme = draw(st.sampled_from(["ook", "bfsk"]))
     f0, f1 = draw(tone), draw(tone)
     assume(scheme == "ook" or f0 != f1)
-    cfg = ModemConfig(scheme=scheme, symbol_rate=symbol_rate, sample_rate=sample_rate, f_carrier=f0, f0=f0, f1=f1)
+    cfg = ModemConfig(tones=(f0,) if scheme == "ook" else (f0, f1), symbol_rate=symbol_rate, sample_rate=sample_rate)
     cfg.validate()
     sps = cfg.samples_per_symbol
     samples = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(
@@ -338,7 +343,7 @@ def padded_soft_symbols(samples, cfg, offset, n_symbols):
     bounds = _symbol_boundaries(n_symbols, cfg) + offset
     windows = rows[bounds[:-1] + pad]
     windows[np.diff(bounds) < width, -1] = 0.0
-    angles = np.outer(2.0 * np.pi * np.asarray(cfg.tones()) / cfg.sample_rate, np.arange(width))
+    angles = np.outer(2.0 * np.pi * np.asarray(cfg.tones) / cfg.sample_rate, np.arange(width))
     proj = np.vecdot(windows[:, None, :], np.vstack((np.cos(angles), np.sin(angles))))
     energies = (proj.reshape(len(proj), 2, -1) ** 2).sum(axis=1)
     return energies[:, 0] if cfg.scheme == "ook" else energies[:, 1] - energies[:, 0]
@@ -355,7 +360,8 @@ def block_gather_cases(draw):
     else:
         sample_rate = draw(st.integers(math.ceil(MIN_SAMPLES_PER_SYMBOL * symbol_rate), int(24 * symbol_rate)))
     scheme = draw(st.sampled_from(["ook", "bfsk"]))
-    cfg = ModemConfig(scheme, symbol_rate, sample_rate, f_carrier=sample_rate / 7, f0=sample_rate / 9, f1=sample_rate / 5)
+    tones = (sample_rate / 7,) if scheme == "ook" else (sample_rate / 9, sample_rate / 5)
+    cfg = ModemConfig(tones, symbol_rate, sample_rate)
     cfg.validate()
     width = math.ceil(cfg.samples_per_symbol)
     length = draw(st.integers(0, width) | st.integers(0, 3 * _ToneBank.BLOCK * width))
@@ -396,9 +402,9 @@ def exact_phase_waveform(bits, cfg):
     for k, bit in enumerate(bits):
         length = round((k + 1) * cfg.sample_rate / cfg.symbol_rate) - round(k * cfg.sample_rate / cfg.symbol_rate)
         if cfg.scheme == "ook":
-            tone, gain = cfg.f_carrier, cfg.amplitude * bit
+            tone, gain = cfg.tones[0], cfg.amplitude * bit
         else:
-            tone, gain = (cfg.f1 if bit else cfg.f0), cfg.amplitude
+            tone, gain = cfg.tones[bit], cfg.amplitude
         step = Fraction(tone) / cfg.sample_rate
         cycles = float(elapsed) + float(step) * np.arange(length)
         out.append(gain * np.sin(2.0 * np.pi * cycles))
@@ -417,7 +423,7 @@ def transmitter_cases(draw):
     f0, f1 = draw(tone), draw(tone)
     assume(scheme == "ook" or f0 != f1)
     amplitude = draw(st.floats(0.05, 1.0))
-    cfg = ModemConfig(scheme, symbol_rate, sample_rate, f_carrier=f0, f0=f0, f1=f1, amplitude=amplitude)
+    cfg = ModemConfig((f0,) if scheme == "ook" else (f0, f1), symbol_rate, sample_rate, amplitude=amplitude)
     cfg.validate()
     max_symbols = max(1, min(64, int(100_000 / cfg.samples_per_symbol)))
     bits = draw(st.lists(st.integers(0, 1), min_size=1, max_size=max_symbols))
@@ -461,7 +467,7 @@ class TestSampleCount:
         assert sample_count(len(bits), cfg) == len(modulate(bits, cfg).samples)
 
     def test_refuses_oversized_grid(self):
-        cfg = ModemConfig("bfsk", symbol_rate=1e-6, sample_rate=48000, f0=17500, f1=18500)
+        cfg = ModemConfig((17500, 18500), symbol_rate=1e-6, sample_rate=48000)
         with pytest.raises(ValueError, match="sample limit"):
             sample_count(522, cfg)
 

@@ -215,6 +215,17 @@ class TestInvisibleEmbed:
         got = invisible_extract(img, version, scale=scale, offset=(left, top))
         assert np.array_equal(got.grid, self._slice_mean_grid(img.pixels.astype(np.int64), version, scale, left, top))
 
+    @pytest.mark.parametrize("version", [-5, 0, 11])
+    def test_extract_refuses_a_version_before_reading_pixels(self, version):
+        class Untouchable:
+            def __getitem__(self, key):
+                raise AssertionError("pixels read")
+
+        img = GrayImage.uniform(400, 400, 128)
+        img.pixels = Untouchable()
+        with pytest.raises(ValueError, match=f"version {version} outside 1..10"):
+            invisible_extract(img, version, scale=4)
+
     def test_extract_rejects_scale_below_one(self):
         with pytest.raises(ValueError):
             invisible_extract(GrayImage.uniform(200, 200, 128), version=1, scale=0)
@@ -246,7 +257,7 @@ class TestGridCellTypes:
     @pytest.mark.parametrize("cells", _CELL_TYPES.values(), ids=_CELL_TYPES.keys())
     def test_decodes_writes_and_stamps_like_its_bool_twin(self, cells):
         symbol = stego_embed(b"cell types", b"secret", "M")
-        twin = QrMatrix(symbol.version, symbol.ec_level, cells(symbol.modules))
+        twin = QrMatrix(cells(symbol.modules))
         grid = twin.grid
         assert grid.dtype == bool and np.array_equal(grid, np.array(twin.modules, bool))
         assert np.array_equal(grid, np.array(symbol.modules))
@@ -262,7 +273,7 @@ class TestGridCellTypes:
         with pytest.raises(ValueError):
             np.array(ragged, bool)
         with pytest.raises(MalformedInput, match="square"):  # a ValueError too
-            QrMatrix(1, None, ragged)
+            QrMatrix(ragged)
 
 
 # Pixel tokens of a real symbol, with each row end kept as a "\n" token so a

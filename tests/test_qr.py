@@ -26,7 +26,6 @@ from airgaplab.optstego.qr import (
     gf_mul,
     gf_poly_eval,
     matrix_from_data_codewords,
-    matrix_from_modules,
     parse_byte_segment,
     read_format,
     rs_correct,
@@ -251,7 +250,7 @@ def _with_flips(matrix: QrMatrix, cells) -> QrMatrix:
     grid = matrix.grid.copy()
     for y, x in cells:
         grid[y, x] = not grid[y, x]
-    out = QrMatrix(matrix.version, matrix.ec_level, grid)
+    out = QrMatrix(grid)
     assert set(map(tuple, np.argwhere(out.grid != matrix.grid).tolist())) == set(cells)
     return out
 
@@ -373,7 +372,7 @@ class TestFormatInfo:
 
     def test_blank_grid_malformed_format(self):
         size = 21
-        blank = matrix_from_modules([[False] * size for _ in range(size)])
+        blank = QrMatrix([[False] * size for _ in range(size)])
         with pytest.raises(MalformedFormatInfo):
             qr_decode(blank)
 
@@ -406,7 +405,7 @@ def _assert_format_reads_like_reference(first: int, second: int) -> None:
     ys, xs = _format_cells(25)
     grid = np.zeros((25, 25), bool)
     grid[ys, xs] = np.array([[first], [second]]) >> np.arange(15) & 1
-    m = QrMatrix(2, None, grid)
+    m = QrMatrix(grid)
     try:
         want = _reference_read_format(m)
     except MalformedFormatInfo as exc:
@@ -479,9 +478,7 @@ class TestReadOnlyGrid:
         with pytest.raises(ValueError, match="read-only"):
             m.grid[0, 0] = not m.grid[0, 0]
 
-    @pytest.mark.parametrize(
-        "wrap", [lambda g: QrMatrix(2, "M", g), matrix_from_modules], ids=["QrMatrix", "matrix_from_modules"]
-    )
+    @pytest.mark.parametrize("wrap", [QrMatrix], ids=["QrMatrix"])
     def test_source_array_written_after_construction(self, wrap):
         source = qr_encode(b"x" * 20, "M").grid.copy()
         m = wrap(source)
@@ -495,6 +492,46 @@ class TestReadOnlyGrid:
         with pytest.raises(TypeError):
             m.modules[0][0] = True
         assert np.array_equal(m.modules, m.grid)
+
+
+class TestDerivedLabels:
+    """A symbol is its grid: the side fixes the version and the format
+    information names the level, so no label can contradict the grid."""
+
+    @pytest.mark.parametrize("side", range(21, 58, 4))
+    def test_side_gives_the_version(self, side):
+        assert QrMatrix(np.zeros((side, side), bool)).version == (side - 17) // 4
+
+    @pytest.mark.parametrize("side", [17, 20, 22, 61])
+    def test_side_of_no_version_refused(self, side):
+        with pytest.raises(MalformedInput, match=f"symbol side {side} is not a version 1..10 QR"):
+            QrMatrix(np.zeros((side, side), bool))
+
+    def test_labels_are_not_arguments(self):
+        """A version 1 grid once wrapped as version 2 ended in a bare
+        IndexError; the grid alone now says version 1, and decodes."""
+        grid = qr_encode(b"a").grid
+        with pytest.raises(TypeError):
+            QrMatrix(2, "M", grid)
+        m = QrMatrix(grid)
+        assert (m.version, m.ec_level, qr_decode(m)) == (1, "M", b"a")
+
+    @pytest.mark.parametrize("level", EC_LEVELS)
+    def test_level_read_from_the_format_information(self, level):
+        for version in range(1, 11):
+            m = matrix_from_data_codewords(assemble_data_codewords(b"", version, level), version, level)
+            assert (m.version, m.ec_level) == (version, level)
+
+    def test_unreadable_format_gives_no_level(self):
+        """Both format copies set to a word more than 3 bits from every
+        format word: no level, and the decoder refuses the symbol."""
+        far = next(w for w in range(1 << 15) if min(bin(w ^ word).count("1") for word in _WORDS) > 3)
+        grid = qr_encode(b"format", "Q").grid.copy()
+        grid[_format_cells(len(grid))] = far >> np.arange(15) & 1
+        m = QrMatrix(grid)
+        assert m.ec_level is None
+        with pytest.raises(MalformedFormatInfo):
+            qr_decode(m)
 
 
 class TestPbm:
@@ -544,7 +581,7 @@ class TestPbm:
     )
     def test_rejects_malformed(self, source):
         """PBM text, or a module grid handed straight to the wrapper."""
-        read = from_pbm if isinstance(source, str) else matrix_from_modules
+        read = from_pbm if isinstance(source, str) else QrMatrix
         with pytest.raises(MalformedInput):
             read(source)
 
@@ -573,7 +610,7 @@ def _reference_from_pbm(text: str) -> QrMatrix:
     if width != height:
         raise MalformedInput("QR symbol must be square")
     rows = [bits[y * width : (y + 1) * width] for y in range(height)]
-    return matrix_from_modules([[bit == "1" for bit in row] for row in rows])
+    return QrMatrix([[bit == "1" for bit in row] for row in rows])
 
 
 def _assert_reads_like_reference(text: str) -> None:

@@ -12,10 +12,12 @@ first alternates from pair to pair.  Nothing under ``bench/`` changes: the
 script only runs it and reads what it prints and writes to ``.bench_out/``.
 
 The output file holds, per workload and seed, every run (metrics, digest,
-``setup_samples_s``, checks passed) and, per metric, each side's median
-and quartiles, the pair wins and the claim below.  It also holds both
-sides' commit SHAs and the machine facts ``run.py`` records.  ``--trace 1`` runs the traced benchmark, so the same summary
-covers the per-layer metrics.
+``setup_samples_s``, checks passed), per metric each side's median and
+quartiles, the pair wins and the claim below, and under ``setup_probes``
+the quartiles of each side's ``setup_samples_s`` probes pooled over its
+runs.  It also holds both sides' commit SHAs and the machine facts
+``run.py`` records.  ``--trace 1`` runs the traced benchmark, so the same
+summary covers the per-layer metrics.
 
 Claim rule.  HEAD may claim a gain on a metric only when it wins at least
 9 of every 10 pairs run (at least 10 pairs; a tie counts for neither side;
@@ -32,7 +34,9 @@ A metric whose BENCHMARK.json entry has a ``bound`` (the end-to-end ones)
 is flagged ``beyond_bound`` when HEAD's median is worse than the base's by
 more than that bound, as a share of the base's median (never when that
 median is 0).  Each hit prints a ``BEYOND BOUND:`` line; it is a warning
-and leaves the exit status alone.
+and leaves the exit status alone.  The line for ``setup_s`` also quotes
+both sides' pooled probe medians, since setup_s is the median of only a
+few probes per run and swings between two levels on identical code.
 
 Exit status: 0 when every run passed its checks and both sides produced
 the same digests; 1 otherwise; 2 for a usage error.
@@ -148,6 +152,19 @@ def summarize(runs: list[dict], spec: dict[str, dict]) -> dict:
     return out
 
 
+def pooled_setup(runs: list[dict]) -> dict:
+    """Per side, the quartiles of every ``setup_samples_s`` probe of its
+    runs pooled together: setup_s is each run's median of a few probes, and
+    pooling them shows whether a move in setup_s is the code or the spread
+    of the probes.  A side with fewer than two probes is left out."""
+    out = {}
+    for side in SIDES:
+        probes = [s for r in runs if r["side"] == side for s in r.get("setup_samples_s") or ()]
+        if len(probes) >= 2:
+            out[side] = {"probes": len(probes), **quartiles(probes)}
+    return out
+
+
 def measure(roots: dict[str, Path], workloads: list[str], seeds: list[int], pairs: int,
             seconds: float, trace: int, log=print) -> dict:
     """Every pair of every workload and seed, with the per-metric summary."""
@@ -169,6 +186,7 @@ def measure(roots: dict[str, Path], workloads: list[str], seeds: list[int], pair
                                          key=str)
                             for side in SIDES},
                 "metrics": summarize(runs, spec),
+                "setup_probes": pooled_setup(runs),
                 "runs": runs,
             }
     return out
@@ -193,10 +211,21 @@ def problems(results: dict) -> list[str]:
 
 def beyond_bounds(results: dict) -> list[str]:
     """One line per metric whose HEAD median is worse than the base's by more
-    than its bound."""
-    return [f"{key}: {name} {m['base']['median']:.4g} -> {m['head']['median']:.4g} "
-            f"({m['change']:+.1%}) is beyond its bound of {m['bound']:.0%}"
-            for key, res in results.items() for name, m in res["metrics"].items() if m.get("beyond_bound")]
+    than its bound; the setup_s line also quotes both sides' pooled probe
+    medians."""
+    lines = []
+    for key, res in results.items():
+        for name, m in res["metrics"].items():
+            if not m.get("beyond_bound"):
+                continue
+            line = (f"{key}: {name} {m['base']['median']:.4g} -> {m['head']['median']:.4g} "
+                    f"({m['change']:+.1%}) is beyond its bound of {m['bound']:.0%}")
+            pooled = res["setup_probes"]
+            if name == "setup_s" and set(pooled) == set(SIDES):
+                line += (f"; pooled setup probes {pooled['base']['median']:.4g} -> "
+                         f"{pooled['head']['median']:.4g}")
+            lines.append(line)
+    return lines
 
 
 def git(*args: str) -> str:
