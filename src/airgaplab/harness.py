@@ -50,8 +50,11 @@ class RunReport:
     bits_sent: int
     airtime_s: float
     ber: float
-    success: bool
-    error_kind: str
+    error_kind: str  # "" when the key came back exact
+
+    @property
+    def success(self) -> bool:
+        return self.error_kind == ""
 
     def csv_row(self) -> str:
         return (
@@ -138,6 +141,8 @@ def payload_ber(key: bytes, received_bits: list[int]) -> float:
 def run_scenario(cfg: ScenarioConfig) -> RunResult:
     """One deterministic exfiltration attempt through a channel preset."""
     preset = chan.lookup(cfg.channel)
+    if preset.kind != chan.WAVEFORM and (cfg.f0 is not None or cfg.f1 is not None):
+        raise ValueError(f"{preset.name} is an event trace with no tones; f0 and f1 have nothing to set")
     rate = _bit_rate(preset, cfg.symbol_rate)
     key = cfg.key if cfg.key is not None else derive_key(cfg.seed)
     bits = keyframe.frame_encode(key)
@@ -161,16 +166,13 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         rx = chan.apply_trace_channel(tx, preset, seed=noise_seed)
         received_bits = modem.trace_demodulate(rx, on_ms, off_ms)
 
-    success = False
     error_kind = ""
     try:
-        decoded = keyframe.frame_decode(received_bits)
-        success = decoded == key
-        if not success:
+        if keyframe.frame_decode(received_bits) != key:
             error_kind = "PayloadMismatch"
     except AirgapError as exc:
         error_kind = type(exc).__name__
-    ber = 0.0 if success else payload_ber(key, received_bits)
+    ber = payload_ber(key, received_bits) if error_kind else 0.0
 
     report = RunReport(
         preset=preset.name,
@@ -179,7 +181,6 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         bits_sent=len(bits),
         airtime_s=len(bits) / rate,
         ber=ber,
-        success=success,
         error_kind=error_kind,
     )
     return RunResult(report, key, rx)

@@ -90,6 +90,8 @@ class FatImage:
     first write and unmaps them all when the image is dropped, so a fresh
     image of any size costs only the pages it writes, however many images
     came before it (a heap block reused by calloc is zeroed byte by byte).
+    `fats` and `clusters` are array views into `data`, so a write through
+    either is a write to the image.
     """
 
     data: memoryview
@@ -98,6 +100,8 @@ class FatImage:
     cluster_count: int = field(init=False)
     # (NUM_FATS, entries) little-endian uint16 view of both FAT copies in `data`.
     fats: np.ndarray = field(init=False, repr=False, compare=False)
+    # (cluster_count, CLUSTER_BYTES) uint8 view of the data region; cluster c is row c - 2.
+    clusters: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._parse_geometry()
@@ -119,16 +123,18 @@ class FatImage:
             raise MalformedInput(
                 f"boot sector declares {self.total_sectors} sectors, image has {len(self.data)} bytes"
             )
-        data_sectors = self.total_sectors - RESERVED_SECTORS - NUM_FATS * self.fat_sectors - ROOT_SECTORS
-        if data_sectors < 0:
+        self.cluster_count = _data_clusters(self.total_sectors, self.fat_sectors)
+        if self.cluster_count < 0:
             raise MalformedInput(f"{self.fat_sectors}-sector FATs and root directory overrun the volume")
-        self.cluster_count = data_sectors // SECTORS_PER_CLUSTER
         entries = self.fat_sectors * BYTES_PER_SECTOR // 2
         if entries < self.cluster_count + 2:
             raise MalformedInput(f"{self.fat_sectors}-sector FAT cannot map {self.cluster_count} clusters")
         self.fats = np.frombuffer(
             self.data, "<u2", NUM_FATS * entries, self.fat_offset(0)
         ).reshape(NUM_FATS, entries)
+        self.clusters = np.frombuffer(
+            self.data, np.uint8, self.cluster_count * CLUSTER_BYTES, self.data_offset
+        ).reshape(self.cluster_count, CLUSTER_BYTES)
 
     # -- region offsets (bytes) --
 
@@ -143,11 +149,6 @@ class FatImage:
     def data_offset(self) -> int:
         return self.root_offset + ROOT_ENTRIES * _DIRENT.size
 
-    def cluster_offset(self, cluster: int) -> int:
-        if not 2 <= cluster < self.cluster_count + 2:
-            raise ValueError(f"cluster {cluster} out of range")
-        return self.data_offset + (cluster - 2) * CLUSTER_BYTES
-
     # -- FAT access through `fats` (writes mirror into both copies) --
 
     def fat_get(self, cluster: int) -> int:
@@ -156,11 +157,8 @@ class FatImage:
     def fat_set(self, cluster: int, value: int) -> None:
         self.fats[:, cluster] = value
 
-    def _free(self) -> np.ndarray:
+    def free_clusters(self) -> np.ndarray:
         return np.flatnonzero(self.fats[0, 2 : self.cluster_count + 2] == FAT_FREE) + 2
-
-    def free_clusters(self) -> list[int]:
-        return self._free().tolist()
 
     def chain(self, first: int) -> list[int]:
         out = []
@@ -176,6 +174,13 @@ class FatImage:
         raise MalformedInput(f"chain from {first} ends in invalid entry 0x{cluster:04X}")
 
 
+def _data_clusters(total_sectors: int, fat_sectors: int) -> int:
+    """Clusters in the data region after the boot sector, FATs and root
+    directory; negative when those overrun the volume."""
+    data_sectors = total_sectors - RESERVED_SECTORS - NUM_FATS * fat_sectors - ROOT_SECTORS
+    return data_sectors // SECTORS_PER_CLUSTER
+
+
 def create_image(total_size: int) -> FatImage:
     """Freshly formatted FAT16 volume: 512-byte sectors, 2 KiB clusters."""
     if not MIN_IMAGE <= total_size <= MAX_IMAGE:
@@ -186,8 +191,7 @@ def create_image(total_size: int) -> FatImage:
 
     fat_sectors = 1
     for _ in range(8):  # fixpoint: FAT size depends on cluster count and vice versa
-        data_sectors = total_sectors - RESERVED_SECTORS - NUM_FATS * fat_sectors - ROOT_SECTORS
-        clusters = data_sectors // SECTORS_PER_CLUSTER
+        clusters = _data_clusters(total_sectors, fat_sectors)
         needed = -(-((clusters + 2) * 2) // BYTES_PER_SECTOR)
         if needed == fat_sectors:
             break
@@ -288,19 +292,17 @@ def add_file(img: FatImage, name: str, contents: bytes, attr: int = ATTR_ARCHIVE
         _find_entry(img, name)
         raise DuplicateName(f"{name!r} already exists")
     needed = -(-len(contents) // CLUSTER_BYTES)
-    free = img._free()
+    free = img.free_clusters()
     if len(free) < needed:
         raise DiskFull(f"{needed} clusters needed, {len(free)} free")
     slot = _free_root_slot(img)
-    clusters = free[:needed].tolist()
-    for i, cluster in enumerate(clusters):
-        img.fat_set(cluster, clusters[i + 1] if i + 1 < needed else FAT_EOC)
-        start = img.cluster_offset(cluster)
-        chunk = contents[i * CLUSTER_BYTES : (i + 1) * CLUSTER_BYTES]
-        img.data[start : start + CLUSTER_BYTES] = chunk.ljust(CLUSTER_BYTES, b"\x00")
+    clusters = free[:needed]
+    img.fats[:, clusters] = np.append(clusters[1:], FAT_EOC)
+    padded = contents.ljust(needed * CLUSTER_BYTES, b"\x00")
+    img.clusters[clusters - 2] = np.frombuffer(padded, np.uint8).reshape(needed, CLUSTER_BYTES)
     _DIRENT.pack_into(
         img.data, slot, name_to_83(name), attr, FIXED_TIME, FIXED_DATE, FIXED_DATE,
-        FIXED_TIME, FIXED_DATE, clusters[0] if clusters else 0, len(contents),
+        FIXED_TIME, FIXED_DATE, int(clusters[0]) if needed else 0, len(contents),
     )
     return img
 
@@ -312,21 +314,17 @@ def read_file(img: FatImage, name: str) -> bytes:
     clusters = img.chain(first)
     if len(clusters) * CLUSTER_BYTES < size:
         raise MalformedInput(f"{name}: size {size} needs more than the {len(clusters)} clusters of its chain")
-    out = bytearray()
-    for cluster in clusters:
-        start = img.cluster_offset(cluster)
-        out += img.data[start : start + CLUSTER_BYTES]
-    return bytes(out[:size])
+    return img.clusters[np.subtract(clusters, 2)].reshape(-1)[:size].tobytes()
 
 
-def _slack_window(img: FatImage, name: str) -> tuple[int, int]:
-    """(byte offset of slack start, slack length) for a carrier file."""
+def _slack(img: FatImage, name: str) -> np.ndarray:
+    """A carrier file's slack, the bytes of its last cluster past its end,
+    as a view into the image; empty when the file ends on a cluster boundary."""
     first, size = _extent(img, _find_entry(img, name))
-    slack = (CLUSTER_BYTES - size % CLUSTER_BYTES) % CLUSTER_BYTES
-    if size == 0 or slack == 0:
-        return 0, 0
-    last_cluster = img.chain(first)[-1]
-    return img.cluster_offset(last_cluster) + size % CLUSTER_BYTES, slack
+    used = size % CLUSTER_BYTES
+    if used == 0:
+        return img.clusters[:0, 0]
+    return img.clusters[img.chain(first)[-1] - 2, used:]
 
 
 def _seal(secret: bytes) -> bytes:
@@ -349,16 +347,15 @@ def _unseal(buf: bytes) -> bytes:
 def hide_slack(img: FatImage, carrier_name: str, secret: bytes) -> FatImage:
     """Park magic+length+secret in the carrier's final-cluster slack."""
     payload = _seal(secret)
-    start, slack = _slack_window(img, carrier_name)
-    if slack < len(payload):
-        raise InsufficientSlack(f"{slack} slack bytes < {len(payload)} payload bytes")
-    img.data[start : start + len(payload)] = payload
+    slack = _slack(img, carrier_name)
+    if len(slack) < len(payload):
+        raise InsufficientSlack(f"{len(slack)} slack bytes < {len(payload)} payload bytes")
+    slack[: len(payload)] = np.frombuffer(payload, np.uint8)
     return img
 
 
 def extract_slack(img: FatImage, carrier_name: str) -> bytes:
-    start, slack = _slack_window(img, carrier_name)
-    return _unseal(bytes(img.data[start : start + slack]))
+    return _unseal(_slack(img, carrier_name).tobytes())
 
 
 def hide_entry(img: FatImage, secret: bytes, entry_name: str = HIDDEN_ENTRY_NAME) -> FatImage:
@@ -379,8 +376,11 @@ def extract_entry(img: FatImage, entry_name: str = HIDDEN_ENTRY_NAME) -> bytes:
 
 @dataclass
 class FsckReport:
-    ok: bool
     findings: list[str]
+
+    @property
+    def ok(self) -> bool:
+        return not self.findings
 
 
 def fsck(img: FatImage) -> FsckReport:
@@ -420,4 +420,4 @@ def fsck(img: FatImage) -> FsckReport:
             findings.append(
                 f"{name}: size {size} needs {expected} clusters, chain has {len(clusters)}"
             )
-    return FsckReport(not findings, findings)
+    return FsckReport(findings)

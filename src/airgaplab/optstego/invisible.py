@@ -45,9 +45,6 @@ class GrayImage:
     def uniform(cls, width: int, height: int, value: int = 128) -> "GrayImage":
         return cls(width, height, np.full((height, width), value, dtype=np.uint8))
 
-    def clone(self) -> "GrayImage":
-        return GrayImage(self.width, self.height, self.pixels.copy())
-
 
 def invisible_embed(
     carrier: GrayImage,

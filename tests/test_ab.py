@@ -255,6 +255,21 @@ def test_a_failed_run_costs_only_its_pair(tmp_path):
     assert ab.problems(results) == ["artifact-roundtrip/seed1: runs failed their checks: head pair 1"]
 
 
+def test_src_lines_counts_python_under_src_only(tmp_path):
+    """Nested modules count; files outside src/ and non-Python files do not."""
+    trees = {
+        "base": {"src/pkg/__init__.py": "", "src/pkg/a.py": "x = 1\ny = 2\nz = 3\n",
+                 "src/pkg/notes.txt": "1\n2\n"},
+        "head": {"src/pkg/__init__.py": "", "src/pkg/a.py": "x = 1\n", "src/pkg/sub/b.py": "b = 1\n\nc = 2",
+                 "tests/test_a.py": "def test():\n    pass\n"},
+    }
+    for side, files in trees.items():
+        for name, text in files.items():
+            (tmp_path / side / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / side / name).write_text(text)
+    assert ab.src_lines({side: tmp_path / side for side in ab.SIDES}) == {"base": 3, "head": 4, "net": 1}
+
+
 def test_one_pair_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         ab.parse_args(["--base", "HEAD", "--pairs", "1", "--out", "x.json"])

@@ -131,6 +131,14 @@ class TestExfil:
         assert exc.value.code == 2
         assert "gsmem sends OOK on one tone, set by f0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option", ["--f0=5", "--f1=900"])
+    def test_tone_on_a_trace_preset_is_a_usage_error(self, capsys, option):
+        """An event-trace preset has no tones; --f0 and --f1 are refused, not ignored."""
+        with pytest.raises(SystemExit) as exc:
+            main(["exfil", "--channel", "kbd_led", "--seed", "1", option])
+        assert exc.value.code == 2
+        assert "trace" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_non_finite_snr_usage_error(self, capsys, tmp_path):

@@ -248,14 +248,14 @@ class TestSlackHiding:
         add_file(image, "TXN.DAT", bytes(100))
         secret = bytes(rng.randrange(256) for _ in range(16))
         hide_slack(image, "TXN.DAT", secret)
-        from airgaplab.mediahide import _slack_window
+        from airgaplab.mediahide import _slack
 
-        start, _ = _slack_window(image, "TXN.DAT")
+        slack = _slack(image, "TXN.DAT")
         for i in range(4):
-            image.data[start + i] ^= 0xFF
+            slack[i] ^= 0xFF
             with pytest.raises(NoPayload):
                 extract_slack(image, "TXN.DAT")
-            image.data[start + i] ^= 0xFF
+            slack[i] ^= 0xFF
         assert extract_slack(image, "TXN.DAT") == secret
 
     def test_missing_carrier(self, image):
@@ -451,7 +451,7 @@ class TestFatView:
         fats = _fat_entries_oracle(bytes(data), img)
         assert img.fats.tolist() == fats
         assert [img.fat_get(c) for c in range(img.cluster_count + 2)] == fats[0][: img.cluster_count + 2]
-        assert img.free_clusters() == [c for c in range(2, img.cluster_count + 2) if fats[0][c] == 0]
+        assert img.free_clusters().tolist() == [c for c in range(2, img.cluster_count + 2) if fats[0][c] == 0]
         assert ("FAT copies differ" in fsck(img).findings) == (fats[0] != fats[1])
 
         cluster = min(cluster, img.cluster_count + 1)
@@ -459,3 +459,27 @@ class TestFatView:
         for entries in fats:
             entries[cluster] = value
         assert _fat_entries_oracle(bytes(img.data), img) == fats
+
+    @settings(deadline=None, max_examples=10)
+    @given(loaded=st.booleans(), mib=st.sampled_from([4, 16, 64]), seed=st.integers(0, 2**32 - 1),
+           cluster=st.integers(2, 32760), byte=st.integers(0, 255))
+    def test_cluster_rows_are_the_data_region(self, loaded, mib, seed, cluster, byte):
+        """Row c - 2 of `clusters` is cluster c's bytes in `data`, a write
+        through the view lands in `data`, and the view ends at the last cluster."""
+        img = create_image(mib * MIB)
+        img.data[img.data_offset :] = random.Random(seed).randbytes(len(img.data) - img.data_offset)
+        if loaded:
+            img = load_image(bytes(img.data))
+        view = img.clusters
+        assert view.shape == (img.cluster_count, CLUSTER_BYTES)
+        end = img.data_offset + view.size
+        assert end <= len(img.data) < end + CLUSTER_BYTES
+        for c in range(2, img.cluster_count + 2):
+            start = img.data_offset + (c - 2) * CLUSTER_BYTES
+            assert view[c - 2].tobytes() == img.data[start : start + CLUSTER_BYTES]
+        cluster = min(cluster, img.cluster_count + 1)
+        start = img.data_offset + (cluster - 2) * CLUSTER_BYTES
+        view[cluster - 2] ^= 0xFF
+        assert view[cluster - 2].tobytes() == img.data[start : start + CLUSTER_BYTES]
+        view[-1, -1] = byte
+        assert img.data[end - 1] == byte

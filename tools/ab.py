@@ -15,9 +15,10 @@ The output file holds, per workload and seed, every run (metrics, digest,
 ``setup_samples_s``, checks passed), per metric each side's median and
 quartiles, the pair wins and the claim below, and under ``setup_probes``
 the quartiles of each side's ``setup_samples_s`` probes pooled over its
-runs.  It also holds both sides' commit SHAs and the machine facts
-``run.py`` records.  ``--trace 1`` runs the traced benchmark, so the same
-summary covers the per-layer metrics.
+runs.  It also holds both sides' commit SHAs, the machine facts ``run.py``
+records, and under ``src_lines`` each side's count of lines in
+``src/**/*.py`` with the net change.  ``--trace 1`` runs the traced
+benchmark, so the same summary covers the per-layer metrics.
 
 Claim rule.  HEAD may claim a gain on a metric only when it wins at least
 9 of every 10 pairs run (at least 10 pairs; a tie counts for neither side;
@@ -228,6 +229,14 @@ def beyond_bounds(results: dict) -> list[str]:
     return lines
 
 
+def src_lines(roots: dict[str, Path]) -> dict[str, int]:
+    """Lines of ``src/**/*.py`` in each side's tree, and HEAD's net change."""
+    counts = {side: sum(len(path.read_text().splitlines())
+                        for path in (roots[side] / "src").glob("**/*.py"))
+              for side in SIDES}
+    return {**counts, "net": counts["head"] - counts["base"]}
+
+
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout.strip()
@@ -274,8 +283,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="ab-base-") as tmp:
         base_root = Path(tmp) / "tree"
         export(base_sha, base_root)
-        results = measure({"base": base_root, "head": ROOT}, args.workloads, args.seeds,
-                          args.pairs, args.seconds, args.trace,
+        roots = {"base": base_root, "head": ROOT}
+        lines = src_lines(roots)
+        results = measure(roots, args.workloads, args.seeds, args.pairs, args.seconds, args.trace,
                           log=lambda line: print(line, flush=True))
     found = problems(results)
     first = next(iter(results.values()))["runs"][0]
@@ -289,6 +299,7 @@ def main(argv=None) -> int:
                     if k not in ("git_sha", "src_sha256")},
         "problems": found,
         "results": results,
+        "src_lines": lines,
     }
     args.out.write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n")
     for line in beyond_bounds(results):
