@@ -90,8 +90,6 @@ class FatImage:
     first write and unmaps them all when the image is dropped, so a fresh
     image of any size costs only the pages it writes, however many images
     came before it (a heap block reused by calloc is zeroed byte by byte).
-    `fats` and `clusters` are array views into `data`, so a write through
-    either is a write to the image.
     """
 
     data: memoryview
@@ -175,10 +173,8 @@ class FatImage:
 
 
 def _data_clusters(total_sectors: int, fat_sectors: int) -> int:
-    """Clusters in the data region after the boot sector, FATs and root
-    directory; negative when those overrun the volume."""
-    data_sectors = total_sectors - RESERVED_SECTORS - NUM_FATS * fat_sectors - ROOT_SECTORS
-    return data_sectors // SECTORS_PER_CLUSTER
+    """Clusters after the boot sector, FATs and root; negative if those overrun the volume."""
+    return (total_sectors - RESERVED_SECTORS - NUM_FATS * fat_sectors - ROOT_SECTORS) // SECTORS_PER_CLUSTER
 
 
 def create_image(total_size: int) -> FatImage:
