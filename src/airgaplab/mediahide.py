@@ -156,7 +156,9 @@ class FatImage:
         self.fats[:, cluster] = value
 
     def free_clusters(self) -> np.ndarray:
-        return np.flatnonzero(self.fats[0, 2 : self.cluster_count + 2] == FAT_FREE) + 2
+        free = np.flatnonzero(self.fats[0, 2 : self.cluster_count + 2] == FAT_FREE)
+        free += 2  # in place: `+ 2` would allocate a second array as long as the free list
+        return free
 
     def chain(self, first: int) -> list[int]:
         out = []
@@ -293,7 +295,7 @@ def add_file(img: FatImage, name: str, contents: bytes, attr: int = ATTR_ARCHIVE
         raise DiskFull(f"{needed} clusters needed, {len(free)} free")
     slot = _free_root_slot(img)
     clusters = free[:needed]
-    img.fats[:, clusters] = np.append(clusters[1:], FAT_EOC)
+    img.fats[:, clusters] = clusters[1:].tolist() + [FAT_EOC]
     padded = contents.ljust(needed * CLUSTER_BYTES, b"\x00")
     img.clusters[clusters - 2] = np.frombuffer(padded, np.uint8).reshape(needed, CLUSTER_BYTES)
     _DIRENT.pack_into(
@@ -310,7 +312,7 @@ def read_file(img: FatImage, name: str) -> bytes:
     clusters = img.chain(first)
     if len(clusters) * CLUSTER_BYTES < size:
         raise MalformedInput(f"{name}: size {size} needs more than the {len(clusters)} clusters of its chain")
-    return img.clusters[np.subtract(clusters, 2)].reshape(-1)[:size].tobytes()
+    return img.clusters.take(np.subtract(clusters, 2), axis=0).reshape(-1)[:size].tobytes()
 
 
 def _slack(img: FatImage, name: str) -> np.ndarray:
