@@ -39,7 +39,6 @@ class ChannelPreset:
 
     name: str
     nominal_bit_rate: float  # bits/second
-    snr_db: float  # default signal-to-noise ratio (waveform kinds)
     band: tuple[float, float] | None  # passband in Hz, None = full band
     jitter_fraction: float  # event-channel timing jitter, 0..0.5
     table_time_range: tuple[float, float]  # published seconds for a 256-bit key
@@ -57,12 +56,12 @@ class ChannelPreset:
             raise ValueError(f"unknown kind {self.kind!r}")
 
 
-def _wf(name, rate, trange, band=None, snr=DEFAULT_SNR_DB):
-    return ChannelPreset(name, rate, snr, band, 0.0, trange, WAVEFORM)
+def _wf(name, rate, trange, band=None):
+    return ChannelPreset(name, rate, band, 0.0, trange, WAVEFORM)
 
 
-def _tr(name, rate, trange, jitter=DEFAULT_JITTER):
-    return ChannelPreset(name, rate, DEFAULT_SNR_DB, None, jitter, trange, TRACE)
+def _tr(name, rate, trange):
+    return ChannelPreset(name, rate, None, DEFAULT_JITTER, trange, TRACE)
 
 
 # Published per-channel figures: bit rates where the source reports one,
@@ -103,7 +102,7 @@ def catalog_csv() -> str:
         lo = f"{p.band[0]:g}" if p.band else ""
         hi = f"{p.band[1]:g}" if p.band else ""
         lines.append(
-            f"{p.name},{p.nominal_bit_rate:g},{p.snr_db:g},{lo},{hi},"
+            f"{p.name},{p.nominal_bit_rate:g},{DEFAULT_SNR_DB:g},{lo},{hi},"
             f"{p.jitter_fraction:g},{p.table_time_range[0]:g},{p.table_time_range[1]:g},{p.kind}"
         )
     return "\n".join(lines) + "\n"
@@ -166,7 +165,7 @@ def _snr_ratio(snr_db: float) -> float:
 
 
 @contextmanager
-def noise_draw(preset: ChannelPreset, n_samples: int, snr_db: float | None = None, seed: int = 0):
+def noise_draw(preset: ChannelPreset, n_samples: int, snr_db: float = DEFAULT_SNR_DB, seed: int = 0):
     """Start the unit-variance noise of one waveform channel pass.
 
     Yields a pending draw of n_samples for apply_waveform_channel's `noise`,
@@ -178,7 +177,6 @@ def noise_draw(preset: ChannelPreset, n_samples: int, snr_db: float | None = Non
     """
     if preset.kind != WAVEFORM:
         raise ValueError(f"preset {preset.name!r} is not a waveform channel")
-    snr_db = preset.snr_db if snr_db is None else snr_db
     _snr_ratio(snr_db)
     draw = functools.partial(_rng(seed).standard_normal, n_samples)
     if preset.band is None or math.isinf(snr_db):
@@ -193,7 +191,7 @@ def noise_draw(preset: ChannelPreset, n_samples: int, snr_db: float | None = Non
 def apply_waveform_channel(
     w: Waveform,
     preset: ChannelPreset,
-    snr_db: float | None = None,
+    snr_db: float = DEFAULT_SNR_DB,
     seed: int = 0,
     noise: Callable[[], np.ndarray] | None = None,
 ) -> Waveform:
@@ -210,7 +208,6 @@ def apply_waveform_channel(
     normal stream, so the samples are those of normal(0, s, n) + filtered
     either way.
     """
-    snr_db = preset.snr_db if snr_db is None else snr_db
     with nullcontext(noise) if noise is not None else noise_draw(preset, len(w.samples), snr_db, seed) as noise:
         if preset.band is None:
             if math.isinf(snr_db):

@@ -28,14 +28,12 @@ ULTRASONIC_SAMPLE_RATE = 48000
 ULTRASONIC_F0 = 17500.0
 ULTRASONIC_F1 = 18500.0
 
-TX_AMPLITUDE = 0.8
-
 
 @dataclass
 class ScenarioConfig:
     channel: str
     key: bytes | None = None  # None: derive from the seed
-    snr_db: float | None = None  # None: preset default
+    snr_db: float | None = None  # None: channel.DEFAULT_SNR_DB
     seed: int = 0
     symbol_rate: float | None = None  # None: preset nominal bit rate
     f0: float | None = None
@@ -107,7 +105,6 @@ def waveform_modem_config(
             tones=(f0 if f0 is not None else ULTRASONIC_F0, f1 if f1 is not None else ULTRASONIC_F1),
             symbol_rate=rate,
             sample_rate=ULTRASONIC_SAMPLE_RATE,
-            amplitude=TX_AMPLITUDE,
         )
     if f1 is not None:
         raise ValueError(f"{preset.name} sends OOK on one tone, set by f0; f1 has no tone to set")
@@ -115,7 +112,6 @@ def waveform_modem_config(
         tones=(f0 if f0 is not None else 16.0 * rate,),
         symbol_rate=rate,
         sample_rate=int(round(min(48000.0, max(1000.0, 200 * rate)))),
-        amplitude=TX_AMPLITUDE,
     )
 
 
@@ -147,13 +143,12 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     key = cfg.key if cfg.key is not None else derive_key(cfg.seed)
     bits = keyframe.frame_encode(key)
     noise_seed = (cfg.seed ^ STAGE_NOISE) & 0xFFFFFFFFFFFFFFFF
-    snr = cfg.snr_db if cfg.snr_db is not None else preset.snr_db
+    snr = cfg.snr_db if cfg.snr_db is not None else chan.DEFAULT_SNR_DB
 
     if preset.kind == chan.WAVEFORM:
         mcfg = waveform_modem_config(preset, rate, cfg.f0, cfg.f1)
         modulate = modem.bfsk_modulate if mcfg.scheme == "bfsk" else modem.ook_modulate
         demodulate = modem.bfsk_demodulate if mcfg.scheme == "bfsk" else modem.ook_demodulate
-        mcfg.validate()
         # Checked before the noise draw starts: it is sized from this count.
         n_samples = modem.sample_count(len(bits), mcfg)
         with chan.noise_draw(preset, n_samples, snr, noise_seed) as noise:

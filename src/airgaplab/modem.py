@@ -26,6 +26,10 @@ MAX_TX_SAMPLES = 2**26
 
 HEADER_MATCH_TOLERANCE = 2
 
+# Peak of every transmitted tone: a constant, not a setting, because the
+# channel scales its noise to the received power, so the SNR sets the errors.
+AMPLITUDE = 0.8
+
 
 @dataclass
 class Waveform:
@@ -39,14 +43,16 @@ class Waveform:
         return len(self.samples) / self.sample_rate
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModemConfig:
-    """One tone is OOK at that carrier; two tones are BFSK, as (space, mark)."""
+    """One tone is OOK at that carrier; two tones are BFSK, as (space, mark).
+
+    Checked once, on construction: a config that exists is valid.
+    """
 
     tones: tuple[float, ...] = (18000.0,)
     symbol_rate: float = 20.0
     sample_rate: int = 48000
-    amplitude: float = 0.8
 
     @property
     def scheme(self) -> str:
@@ -56,13 +62,11 @@ class ModemConfig:
     def samples_per_symbol(self) -> float:
         return self.sample_rate / self.symbol_rate
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if len(set(self.tones)) != len(self.tones) or not 1 <= len(self.tones) <= 2:
             raise ValueError(f"tones {self.tones}: OOK takes one tone, BFSK two distinct ones")
         if not self.symbol_rate > 0:
             raise ValueError("symbol_rate must be positive")
-        if not 0.0 <= self.amplitude <= 1.0:
-            raise ValueError("amplitude must lie in [0, 1]")
         for tone in self.tones:
             if tone >= self.sample_rate / 2:
                 raise NyquistViolation(f"tone {tone} Hz >= Nyquist {self.sample_rate / 2} Hz")
@@ -121,7 +125,7 @@ def _synthesize(bits, cfg: ModemConfig) -> Waveform:
     # Tone and amplitude of bit 0 and bit 1.  An OOK '0' is the carrier at
     # zero amplitude, so the carrier's phase keeps running through it.
     freqs = np.resize(np.asarray(cfg.tones, np.float64), 2)
-    gains = np.array([0.0 if cfg.scheme == "ook" else cfg.amplitude, cfg.amplitude])
+    gains = np.array([0.0 if cfg.scheme == "ook" else AMPLITUDE, AMPLITUDE])
     lengths = np.diff(_symbol_boundaries(bits.size, cfg))
     per_tone = lengths[:, None] * (bits[:, None] == np.arange(2))
     sent = np.cumsum(per_tone, axis=0) - per_tone  # samples at each tone before symbol k
@@ -140,8 +144,7 @@ def _synthesize(bits, cfg: ModemConfig) -> Waveform:
 
 
 def _checked(cfg: ModemConfig, scheme: str) -> ModemConfig:
-    """cfg, once it is valid and of the entry point's scheme."""
-    cfg.validate()
+    """cfg, once it is of the entry point's scheme."""
     if cfg.scheme != scheme:
         raise ValueError(f"config scheme is not {scheme.upper()}")
     return cfg
@@ -236,7 +239,7 @@ def _ook_threshold(energies: np.ndarray, cfg: ModemConfig) -> float:
     an absolute quarter-of-nominal-burst-energy test.
     """
     lo, hi = float(energies.min()), float(energies.max())
-    nominal = (cfg.amplitude * cfg.samples_per_symbol / 2.0) ** 2
+    nominal = (AMPLITUDE * cfg.samples_per_symbol / 2.0) ** 2
     c_lo, c_hi = lo, hi  # a degenerate input skips the loop and falls to the collective test
     for _ in range(16 if hi > 0.0 and hi - lo > 1e-9 * hi else 0):
         mid = (c_lo + c_hi) / 2.0

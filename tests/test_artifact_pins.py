@@ -5,7 +5,9 @@ Drift in the QR interleave, data-cell order, function patterns or format
 words, the Hamming(7,4) tables, the FAT16 boot sector (16-bit and 32-bit
 total-sectors forms), entry and hidden-payload layout, or the OOK/BFSK
 transmitter's samples changes a hash here.  A last test pins the Python
-types at the API boundary, which callers serialise as JSON.
+types at the API boundary, which callers serialise as JSON.  The preset
+catalog and the Table-4 report are pinned as the CSV bytes the `presets`
+and `table4` commands print.
 """
 
 import hashlib
@@ -14,8 +16,8 @@ import random
 
 import pytest
 
-from airgaplab.channel import lookup
-from airgaplab.harness import waveform_modem_config
+from airgaplab.channel import catalog_csv, lookup
+from airgaplab.harness import table4_csv, table4_report, waveform_modem_config
 from airgaplab.keyframe import frame_encode
 from airgaplab.mediahide import add_file, create_image, hide_entry, hide_slack
 from airgaplab.modem import (
@@ -63,6 +65,8 @@ TRANSMIT_WAV_SHA256 = {
     "ultrasonic": "6e30c27640518168a0e5915f2476b606f5bf7f155eab7dda229d8c8ef216a68b",
     "mosquito": "6e30c27640518168a0e5915f2476b606f5bf7f155eab7dda229d8c8ef216a68b",
 }
+PRESETS_CSV_SHA256 = "57f5f9bdbd2db1954846d4c1a9e13d7abb1ce7c88feacbfa6c53c1fc90ee8435"
+TABLE4_CSV_SHA256 = "9c30f5346ec3c0549dff34422c969ccfe3f9a163f61a466a06b0f044c9124c9b"
 
 
 def test_seeded_artifacts_keep_their_bytes():
@@ -112,6 +116,11 @@ def test_transmitted_frame_keeps_its_wav_bytes(preset, tmp_path):
     path = tmp_path / "tx.wav"
     write_wav(str(path), modulate(frame_encode(bytes(range(32))), cfg))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == TRANSMIT_WAV_SHA256[preset]
+
+
+def test_catalog_and_table4_keep_their_csv_bytes():
+    assert hashlib.sha256(catalog_csv().encode()).hexdigest() == PRESETS_CSV_SHA256
+    assert hashlib.sha256(table4_csv(table4_report()[0]).encode()).hexdigest() == TABLE4_CSV_SHA256
 
 
 def test_results_are_python_values():

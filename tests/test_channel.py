@@ -26,7 +26,7 @@ from airgaplab.channel import (
 )
 from airgaplab.modem import EventTrace, ModemConfig, Waveform, bfsk_modulate, trace_modulate
 
-BFSK = ModemConfig(tones=(17500, 18500), symbol_rate=20, sample_rate=48000, amplitude=0.8)
+BFSK = ModemConfig(tones=(17500, 18500), symbol_rate=20, sample_rate=48000)
 
 # Bit rate and time-window figures pinned to the published per-channel rows.
 EXPECTED_PRESETS = {

@@ -1,6 +1,7 @@
 """Modem tests: OOK/BFSK waveforms, event traces, WAV and CSV round trips."""
 
 import csv
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -22,6 +23,7 @@ from airgaplab.errors import (
 )
 from airgaplab.keyframe import frame_decode, frame_encode
 from airgaplab.modem import (
+    AMPLITUDE,
     MAX_TX_SAMPLES,
     MIN_SAMPLES_PER_SYMBOL,
     EventTrace,
@@ -38,8 +40,8 @@ from airgaplab.modem import (
 )
 from airgaplab.modem import _demodulate, _symbol_boundaries, _synthesize, _ToneBank, sample_count
 
-OOK = ModemConfig(tones=(1000,), symbol_rate=100, sample_rate=8000, amplitude=0.8)
-BFSK = ModemConfig(tones=(17500, 18500), symbol_rate=20, sample_rate=48000, amplitude=0.8)
+OOK = ModemConfig(tones=(1000,), symbol_rate=100, sample_rate=8000)
+BFSK = ModemConfig(tones=(17500, 18500), symbol_rate=20, sample_rate=48000)
 
 
 def random_bits(rng, n):
@@ -48,37 +50,41 @@ def random_bits(rng, n):
 
 class TestConfigValidation:
     def test_nyquist_violation(self):
-        cfg = ModemConfig(tones=(4000,), symbol_rate=100, sample_rate=8000)
         with pytest.raises(NyquistViolation):
-            cfg.validate()
+            ModemConfig(tones=(4000,), symbol_rate=100, sample_rate=8000)
 
     def test_symbol_rate_too_high(self):
-        cfg = ModemConfig(tones=(1000,), symbol_rate=2000, sample_rate=8000)
         with pytest.raises(SymbolRateTooHigh):
-            cfg.validate()
+            ModemConfig(tones=(1000,), symbol_rate=2000, sample_rate=8000)
 
     @pytest.mark.parametrize("tones", [(), (17000, 17500, 18500)], ids=["no-tone", "three-tones"])
     def test_one_or_two_tones(self, tones):
         with pytest.raises(ValueError, match="OOK takes one tone, BFSK two"):
-            ModemConfig(tones, symbol_rate=20, sample_rate=48000).validate()
+            ModemConfig(tones, symbol_rate=20, sample_rate=48000)
 
     def test_bfsk_needs_distinct_tones(self):
-        cfg = ModemConfig(tones=(18000, 18000), symbol_rate=10, sample_rate=48000)
         with pytest.raises(ValueError):
-            cfg.validate()
+            ModemConfig(tones=(18000, 18000), symbol_rate=10, sample_rate=48000)
 
     @pytest.mark.parametrize(
-        "cfg",
+        "kwargs",
         [
-            ModemConfig(tones=(math.nan, 18500), symbol_rate=20, sample_rate=48000),
-            ModemConfig(tones=(-math.inf,), symbol_rate=100, sample_rate=8000),
-            ModemConfig(tones=(1000,), symbol_rate=math.nan, sample_rate=8000),
+            dict(tones=(math.nan, 18500), symbol_rate=20, sample_rate=48000),
+            dict(tones=(-math.inf,), symbol_rate=100, sample_rate=8000),
+            dict(tones=(1000,), symbol_rate=math.nan, sample_rate=8000),
         ],
         ids=["nan-f0", "minus-inf-carrier", "nan-symbol-rate"],
     )
-    def test_non_finite_tone_or_rate_rejected(self, cfg):
+    def test_non_finite_tone_or_rate_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            cfg.validate()
+            ModemConfig(**kwargs)
+
+    @pytest.mark.parametrize("field, value", [("tones", (4000,)), ("symbol_rate", 2000), ("sample_rate", 8000)])
+    def test_fields_cannot_be_reassigned(self, field, value):
+        """A config is checked once, so no field may change after that check."""
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(OOK, field, value)
+        assert OOK == ModemConfig(tones=(1000,), symbol_rate=100, sample_rate=8000)
 
     @pytest.mark.parametrize(
         "entry, arg, cfg",
@@ -116,7 +122,7 @@ class TestOok:
     def test_peak_amplitude_bounded(self):
         rng = random.Random(0)
         w = ook_modulate(random_bits(rng, 200), OOK)
-        assert np.abs(w.samples).max() <= OOK.amplitude + 1e-12
+        assert np.abs(w.samples).max() <= AMPLITUDE + 1e-12
 
     def test_round_trip_100_random_blocks(self):
         rng = random.Random(1)
@@ -144,15 +150,11 @@ class TestOok:
 
 class TestBfsk:
     def test_single_one_is_pure_mark_tone(self):
-        cfg = ModemConfig(tones=(17500, 18500), symbol_rate=10, sample_rate=48000, amplitude=1.0)
+        cfg = ModemConfig(tones=(17500, 18500), symbol_rate=10, sample_rate=48000)
         w = bfsk_modulate([1], cfg)
         assert len(w.samples) == 4800
         n = np.arange(4800)
-        assert np.allclose(w.samples, np.sin(2 * np.pi * 18500 * n / 48000), atol=1e-9)
-
-    def test_zero_amplitude_all_zero_samples(self):
-        cfg = ModemConfig(tones=(17500, 18500), symbol_rate=20, sample_rate=48000, amplitude=0.0)
-        assert np.all(bfsk_modulate([1, 0, 1], cfg).samples == 0.0)
+        assert np.allclose(w.samples, AMPLITUDE * np.sin(2 * np.pi * 18500 * n / 48000), atol=1e-9)
 
     def test_round_trip_random_blocks(self):
         rng = random.Random(2)
@@ -215,7 +217,7 @@ class TestBerAt30Db:
 
         rng = random.Random(30)
         bits = random_bits(rng, 10_000)
-        cfg = ModemConfig(tones=(6000,), symbol_rate=800, sample_rate=48000, amplitude=0.8)
+        cfg = ModemConfig(tones=(6000,), symbol_rate=800, sample_rate=48000)
         rx = apply_waveform_channel(ook_modulate(bits, cfg), lookup("airhopper"), snr_db=30, seed=77)
         errors = sum(a != b for a, b in zip(ook_demodulate(rx, cfg), bits))
         assert errors == 0
@@ -225,7 +227,7 @@ class TestBerAt30Db:
 
         rng = random.Random(31)
         bits = random_bits(rng, 10_000)
-        cfg = ModemConfig(tones=(16500, 18500), symbol_rate=400, sample_rate=48000, amplitude=0.8)
+        cfg = ModemConfig(tones=(16500, 18500), symbol_rate=400, sample_rate=48000)
         rx = apply_waveform_channel(bfsk_modulate(bits, cfg), lookup("ultrasonic"), snr_db=30, seed=78)
         errors = sum(a != b for a, b in zip(bfsk_demodulate(rx, cfg), bits))
         assert errors == 0
@@ -322,7 +324,6 @@ def receiver_cases(draw):
     f0, f1 = draw(tone), draw(tone)
     assume(scheme == "ook" or f0 != f1)
     cfg = ModemConfig(tones=(f0,) if scheme == "ook" else (f0, f1), symbol_rate=symbol_rate, sample_rate=sample_rate)
-    cfg.validate()
     sps = cfg.samples_per_symbol
     samples = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(
         draw(st.integers(math.ceil(sps), 12 * math.ceil(sps)))
@@ -362,7 +363,6 @@ def block_gather_cases(draw):
     scheme = draw(st.sampled_from(["ook", "bfsk"]))
     tones = (sample_rate / 7,) if scheme == "ook" else (sample_rate / 9, sample_rate / 5)
     cfg = ModemConfig(tones, symbol_rate, sample_rate)
-    cfg.validate()
     width = math.ceil(cfg.samples_per_symbol)
     length = draw(st.integers(0, width) | st.integers(0, 3 * _ToneBank.BLOCK * width))
     samples = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(length)
@@ -402,9 +402,9 @@ def exact_phase_waveform(bits, cfg):
     for k, bit in enumerate(bits):
         length = round((k + 1) * cfg.sample_rate / cfg.symbol_rate) - round(k * cfg.sample_rate / cfg.symbol_rate)
         if cfg.scheme == "ook":
-            tone, gain = cfg.tones[0], cfg.amplitude * bit
+            tone, gain = cfg.tones[0], AMPLITUDE * bit
         else:
-            tone, gain = cfg.tones[bit], cfg.amplitude
+            tone, gain = cfg.tones[bit], AMPLITUDE
         step = Fraction(tone) / cfg.sample_rate
         cycles = float(elapsed) + float(step) * np.arange(length)
         out.append(gain * np.sin(2.0 * np.pi * cycles))
@@ -422,9 +422,7 @@ def transmitter_cases(draw):
     scheme = draw(st.sampled_from(["ook", "bfsk"]))
     f0, f1 = draw(tone), draw(tone)
     assume(scheme == "ook" or f0 != f1)
-    amplitude = draw(st.floats(0.05, 1.0))
-    cfg = ModemConfig((f0,) if scheme == "ook" else (f0, f1), symbol_rate, sample_rate, amplitude=amplitude)
-    cfg.validate()
+    cfg = ModemConfig((f0,) if scheme == "ook" else (f0, f1), symbol_rate, sample_rate)
     max_symbols = max(1, min(64, int(100_000 / cfg.samples_per_symbol)))
     bits = draw(st.lists(st.integers(0, 1), min_size=1, max_size=max_symbols))
     return cfg, bits
@@ -438,7 +436,7 @@ class TestTransmitterOracle:
         got = _synthesize(bits, cfg).samples
         want = exact_phase_waveform(bits, cfg)
         assert got.shape == want.shape
-        assert np.abs(got - want).max() <= 1e-9 * cfg.amplitude
+        assert np.abs(got - want).max() <= 1e-9 * AMPLITUDE
 
     @pytest.mark.parametrize("preset", ["ultrasonic", "airhopper", "gsmem", "radiot", "powerhammer"])
     def test_preset_frames_match_exact_phase(self, preset):
@@ -448,7 +446,7 @@ class TestTransmitterOracle:
         cfg = waveform_modem_config(lookup(preset))
         bits = frame_encode(bytes(range(32)))
         got = _synthesize(bits, cfg).samples
-        assert np.abs(got - exact_phase_waveform(bits, cfg)).max() <= 1e-9 * cfg.amplitude
+        assert np.abs(got - exact_phase_waveform(bits, cfg)).max() <= 1e-9 * AMPLITUDE
 
 
 class TestSampleCount:
