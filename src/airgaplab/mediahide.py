@@ -155,10 +155,15 @@ class FatImage:
     def fat_set(self, cluster: int, value: int) -> None:
         self.fats[:, cluster] = value
 
-    def free_clusters(self) -> np.ndarray:
-        free = np.flatnonzero(self.fats[0, 2 : self.cluster_count + 2] == FAT_FREE)
-        free += 2  # in place: `+ 2` would allocate a second array as long as the free list
-        return free
+    def free_clusters(self, count: int) -> np.ndarray:
+        """The lowest `count` free clusters; DiskFull when fewer are free."""
+        free = self.fats[0, 2 : self.cluster_count + 2] == FAT_FREE
+        total = int(np.count_nonzero(free))
+        if total < count:
+            raise DiskFull(f"{count} clusters needed, {total} free")
+        # At most cluster_count - total of the first entries are taken, so
+        # the first (taken + count) hold the lowest `count` free clusters.
+        return np.flatnonzero(free[: self.cluster_count - total + count])[:count] + 2
 
     def chain(self, first: int) -> list[int]:
         out = []
@@ -242,27 +247,23 @@ def name_from_83(raw: bytes) -> str:
 
 
 def _iter_root(img: FatImage):
-    """Yield (entry_offset, raw_name, attr) for every used root entry."""
+    """Yield (entry_offset, raw_name, attr, first_cluster, size) for every used root entry."""
     for off in range(img.root_offset, img.data_offset, _DIRENT.size):
-        raw, attr = _DIRENT.unpack_from(img.data, off)[:2]
+        raw, attr, *_, first, size = _DIRENT.unpack_from(img.data, off)
         if raw[0] == 0x00:
             return
         if raw[0] == 0xE5:
             continue
-        yield off, raw, attr
+        yield off, raw, attr, first, size
 
 
-def _find_entry(img: FatImage, name: str) -> int:
+def _find_entry(img: FatImage, name: str) -> tuple[int, int, int, int]:
+    """(entry_offset, attr, first_cluster, size) of the named root file."""
     packed = name_to_83(name)
-    for off, raw, attr in _iter_root(img):
+    for off, raw, attr, first, size in _iter_root(img):
         if raw == packed and not attr & ATTR_VOLUME_ID:
-            return off
+            return off, attr, first, size
     raise NoSuchFile(f"{name!r} not found in root directory")
-
-
-def _extent(img: FatImage, off: int) -> tuple[int, int]:
-    """(first cluster, size in bytes) of the root entry at `off`."""
-    return _DIRENT.unpack_from(img.data, off)[-2:]
 
 
 def _free_root_slot(img: FatImage) -> int:
@@ -275,12 +276,12 @@ def _free_root_slot(img: FatImage) -> int:
 def list_files(img: FatImage, include_hidden: bool = True) -> list[tuple[str, int, int]]:
     """(name, size, attr) for each root file, optionally skipping hidden ones."""
     out = []
-    for off, raw, attr in _iter_root(img):
+    for _, raw, attr, _, size in _iter_root(img):
         if attr & ATTR_VOLUME_ID:
             continue
         if not include_hidden and attr & ATTR_HIDDEN:
             continue
-        out.append((name_from_83(raw), _extent(img, off)[1], attr))
+        out.append((name_from_83(raw), size, attr))
     return out
 
 
@@ -290,11 +291,8 @@ def add_file(img: FatImage, name: str, contents: bytes, attr: int = ATTR_ARCHIVE
         _find_entry(img, name)
         raise DuplicateName(f"{name!r} already exists")
     needed = -(-len(contents) // CLUSTER_BYTES)
-    free = img.free_clusters()
-    if len(free) < needed:
-        raise DiskFull(f"{needed} clusters needed, {len(free)} free")
+    clusters = img.free_clusters(needed)
     slot = _free_root_slot(img)
-    clusters = free[:needed]
     img.fats[:, clusters] = clusters[1:].tolist() + [FAT_EOC]
     padded = contents.ljust(needed * CLUSTER_BYTES, b"\x00")
     img.clusters[clusters - 2] = np.frombuffer(padded, np.uint8).reshape(needed, CLUSTER_BYTES)
@@ -306,7 +304,7 @@ def add_file(img: FatImage, name: str, contents: bytes, attr: int = ATTR_ARCHIVE
 
 
 def read_file(img: FatImage, name: str) -> bytes:
-    first, size = _extent(img, _find_entry(img, name))
+    _, _, first, size = _find_entry(img, name)
     if size == 0:
         return b""
     clusters = img.chain(first)
@@ -318,7 +316,7 @@ def read_file(img: FatImage, name: str) -> bytes:
 def _slack(img: FatImage, name: str) -> np.ndarray:
     """A carrier file's slack, the bytes of its last cluster past its end,
     as a view into the image; empty when the file ends on a cluster boundary."""
-    first, size = _extent(img, _find_entry(img, name))
+    _, _, first, size = _find_entry(img, name)
     used = size % CLUSTER_BYTES
     if used == 0:
         return img.clusters[:0, 0]
@@ -363,10 +361,9 @@ def hide_entry(img: FatImage, secret: bytes, entry_name: str = HIDDEN_ENTRY_NAME
 
 def extract_entry(img: FatImage, entry_name: str = HIDDEN_ENTRY_NAME) -> bytes:
     try:
-        off = _find_entry(img, entry_name)
+        _, attr, _, _ = _find_entry(img, entry_name)
     except NoSuchFile:
         raise NoPayload(f"hidden entry {entry_name!r} absent") from None
-    attr = _DIRENT.unpack_from(img.data, off)[1]
     if not (attr & ATTR_HIDDEN and attr & ATTR_SYSTEM):
         raise NoPayload(f"{entry_name!r} lacks hidden+system attributes")
     return _unseal(read_file(img, entry_name))
@@ -392,11 +389,10 @@ def fsck(img: FatImage) -> FsckReport:
         findings.append("FAT[0] does not carry the media descriptor")
 
     owner: dict[int, str] = {}
-    for off, raw, attr in _iter_root(img):
+    for _, raw, attr, first, size in _iter_root(img):
         if attr & ATTR_VOLUME_ID:
             continue
         name = name_from_83(raw)
-        first, size = _extent(img, off)
         if size == 0:
             if first != 0:
                 findings.append(f"{name}: zero-size file owns cluster {first}")

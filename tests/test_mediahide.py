@@ -31,7 +31,6 @@ from airgaplab.mediahide import (
     FAT_BAD,
     HIDDEN_ENTRY_NAME,
     NUM_FATS,
-    _extent,
     _find_entry,
     add_file,
     create_image,
@@ -149,15 +148,15 @@ class TestAddAndRead:
         assert fsck(image).ok
 
     def test_zero_length_file_occupies_no_clusters(self, image):
-        free_before = len(image.free_clusters())
+        free_before = _free_total(image)
         add_file(image, "EMPTY.BIN", b"")
-        assert len(image.free_clusters()) == free_before
+        assert _free_total(image) == free_before
         assert read_file(image, "EMPTY.BIN") == b""
         assert fsck(image).ok
 
     def test_fill_to_capacity_then_one_more_byte(self):
         image = create_image(4 * MIB)
-        free = len(image.free_clusters())
+        free = _free_total(image)
         add_file(image, "FILL.BIN", bytes(free * CLUSTER_BYTES))
         assert fsck(image).ok
         with pytest.raises(DiskFull):
@@ -171,12 +170,12 @@ class TestAddAndRead:
         fats = _fat_entries_oracle(bytes(image.data), image)
         free = [c for c in range(2, cc + 2) if fats[0][c] == 0]
         add_file(image, "FIVE.BIN", bytes(5 * CLUSTER_BYTES))
-        assert image.chain(_extent(image, _find_entry(image, "FIVE.BIN"))[0]) == free[:5]
+        assert image.chain(_find_entry(image, "FIVE.BIN")[2]) == free[:5]
         rest = len(free) - 5
         with pytest.raises(DiskFull, match=f"^{rest + 1} clusters needed, {rest} free$"):
             add_file(image, "REST.BIN", bytes((rest + 1) * CLUSTER_BYTES))
         add_file(image, "REST.BIN", bytes(rest * CLUSTER_BYTES))
-        assert image.chain(_extent(image, _find_entry(image, "REST.BIN"))[0]) == free[5:]
+        assert image.chain(_find_entry(image, "REST.BIN")[2]) == free[5:]
         with pytest.raises(DiskFull, match="^1 clusters needed, 0 free$"):
             add_file(image, "MORE.BIN", b"x")
 
@@ -202,9 +201,9 @@ class TestAddAndRead:
     def test_chain_shorter_than_the_size_refused(self, image):
         """An entry whose size outgrows its chain is refused, not read short."""
         add_file(image, "SHORT.DAT", bytes(5000))
-        off = _find_entry(image, "SHORT.DAT")
+        off = _find_entry(image, "SHORT.DAT")[0]
         struct.pack_into("<I", image.data, off + 28, 9000)
-        assert _extent(image, off)[1] == 9000
+        assert _find_entry(image, "SHORT.DAT")[3] == 9000
         with pytest.raises(MalformedInput, match="size 9000 needs more than the 3 clusters"):
             read_file(image, "SHORT.DAT")
 
@@ -337,7 +336,7 @@ class TestFsck:
 
     def test_detects_size_chain_disagreement(self, image):
         add_file(image, "A.BIN", bytes(3000))  # 2 clusters
-        entry = _find_entry(image, "A.BIN")
+        entry = _find_entry(image, "A.BIN")[0]
         struct.pack_into("<I", image.data, entry + 28, 9000)  # lie about the size
         report = fsck(image)
         assert not report.ok
@@ -346,8 +345,8 @@ class TestFsck:
     def test_detects_cross_linked_chains(self, image):
         add_file(image, "A.BIN", bytes(3000))
         add_file(image, "B.BIN", bytes(3000))
-        a_first = struct.unpack_from("<H", image.data, _find_entry(image, "A.BIN") + 26)[0]
-        b_entry = _find_entry(image, "B.BIN")
+        a_first = _find_entry(image, "A.BIN")[2]
+        b_entry = _find_entry(image, "B.BIN")[0]
         struct.pack_into("<H", image.data, b_entry + 26, a_first)
         report = fsck(image)
         assert not report.ok
@@ -421,7 +420,7 @@ class TestHostileImage:
                 contents = read_file(img, name)
             except AirgapError:
                 continue
-            assert len(contents) == _extent(img, _find_entry(img, name))[1]
+            assert len(contents) == _find_entry(img, name)[3]
 
 
 def _fat_entries_oracle(data: bytes, img) -> list[list[int]]:
@@ -433,6 +432,12 @@ def _fat_entries_oracle(data: bytes, img) -> list[list[int]]:
     ]
 
 
+def _free_total(img) -> int:
+    """Free clusters in the first FAT copy, counted from its bytes."""
+    fat = _fat_entries_oracle(bytes(img.data), img)[0]
+    return fat[2 : img.cluster_count + 2].count(0)
+
+
 def _fat_flips():
     """(offset, value) byte overwrites inside the two FAT copies."""
     img = load_image(_populated_image())
@@ -442,8 +447,9 @@ def _fat_flips():
 
 class TestFatView:
     @settings(deadline=None, max_examples=100)
-    @given(flips=_fat_flips(), cluster=st.integers(2, 2040), value=st.integers(0, 0xFFFF))
-    def test_fat_access_matches_bytewise_scan(self, flips, cluster, value):
+    @given(flips=_fat_flips(), cluster=st.integers(2, 2040), value=st.integers(0, 0xFFFF),
+           count=st.integers(0, 2040))
+    def test_fat_access_matches_bytewise_scan(self, flips, cluster, value, count):
         data = bytearray(_populated_image())
         for offset, byte in flips:
             data[offset] = byte
@@ -451,7 +457,11 @@ class TestFatView:
         fats = _fat_entries_oracle(bytes(data), img)
         assert img.fats.tolist() == fats
         assert [img.fat_get(c) for c in range(img.cluster_count + 2)] == fats[0][: img.cluster_count + 2]
-        assert img.free_clusters().tolist() == [c for c in range(2, img.cluster_count + 2) if fats[0][c] == 0]
+        free = [c for c in range(2, img.cluster_count + 2) if fats[0][c] == 0]
+        count = min(count, len(free))
+        assert img.free_clusters(count).tolist() == free[:count]
+        with pytest.raises(DiskFull, match=f"^{len(free) + 1} clusters needed, {len(free)} free$"):
+            img.free_clusters(len(free) + 1)
         assert ("FAT copies differ" in fsck(img).findings) == (fats[0] != fats[1])
 
         cluster = min(cluster, img.cluster_count + 1)
