@@ -181,7 +181,8 @@ def test_beyond_bound_is_reported_but_is_no_problem(tmp_path):
     assert (metrics["ops_per_s"]["beyond_bound"], metrics["op_p50_ms"]["beyond_bound"]) == (True, False)
     assert "beyond_bound" not in metrics["undeclared"]
     assert ab.beyond_bounds(results) == [
-        "artifact-roundtrip/seed1: ops_per_s 100 -> 70 (-30.0%) is beyond its bound of 25%"]
+        "artifact-roundtrip/seed1: ops_per_s 100 -> 70 (-30.0%) is beyond its bound of 25%; "
+        "runs base [100 100], head [70 70]"]
     assert ab.problems(results) == []
 
 
@@ -197,20 +198,46 @@ def test_setup_probes_pool_per_side(tmp_path):
     assert ab.pooled_setup(runs) == {"base": {"probes": 3, **ab.quartiles([0.17, 0.18, 0.40])}}
 
 
+BOUNDED = {"setup_s": {"better": "lower", "bound": 0.25}, "op_p50_ms": {"better": "lower", "bound": 0.25}}
+
+
+def _results(key: str, values: dict[str, tuple[list, list]], probes: dict | None = None) -> dict:
+    """A measure() result for one workload and seed from each metric's
+    (base, head) values in pair order; None stands for a run that reported
+    nothing."""
+    pairs = len(next(iter(values.values()))[0])
+    runs = []
+    for pair in range(pairs):
+        for i, side in enumerate(ab.SIDES):
+            got = {name: sides[i][pair] for name, sides in values.items() if sides[i][pair] is not None}
+            runs.append({"pair": pair, "side": side, "metrics": got})
+    return {key: {"metrics": ab.summarize(runs, BOUNDED), "setup_probes": probes or {}, "runs": runs}}
+
+
 def test_setup_s_beyond_bound_quotes_the_pooled_probes():
     """The +26 % lowrate-cliff setup_s move, with probe medians 0.18 and
     0.19 s that show the move is the probes' spread, not the code."""
     probes = {"base": ab.quartiles([0.17, 0.18, 0.40]), "head": ab.quartiles([0.18, 0.19, 0.41])}
-    results = {"lowrate-cliff/seed1": {
-        "metrics": {"setup_s": ab.compare([0.174] * 10, [0.219] * 10, "lower", bound=0.25),
-                    "op_p50_ms": ab.compare([1.0] * 10, [2.0] * 10, "lower", bound=0.25)},
-        "setup_probes": probes}}
+    results = _results("lowrate-cliff/seed1",
+                       {"setup_s": ([0.174] * 2, [0.219] * 2), "op_p50_ms": ([1.0] * 2, [2.0] * 2)}, probes)
     assert ab.beyond_bounds(results) == [
+        "lowrate-cliff/seed1: op_p50_ms 1 -> 2 (+100.0%) is beyond its bound of 25%; runs base [1 1], head [2 2]",
         "lowrate-cliff/seed1: setup_s 0.174 -> 0.219 (+25.9%) is beyond its bound of 25%; "
-        "pooled setup probes 0.18 -> 0.19",
-        "lowrate-cliff/seed1: op_p50_ms 1 -> 2 (+100.0%) is beyond its bound of 25%"]
+        "runs base [0.174 0.174], head [0.219 0.219]; pooled setup probes 0.18 -> 0.19"]
     del results["lowrate-cliff/seed1"]["setup_probes"]["head"]
-    assert ab.beyond_bounds(results)[0].endswith("is beyond its bound of 25%")
+    assert ab.beyond_bounds(results)[1].endswith("head [0.219 0.219]")
+
+
+def test_beyond_bound_lists_each_sides_sorted_run_values():
+    """The artifact-roundtrip seed-7 op_p50_ms move of 3.08 -> 4.14 ms: the
+    sorted runs show one more HEAD run in the slow mode, not a slower HEAD.
+    The last pair's HEAD run reported nothing, so that pair is left out."""
+    base = [4.36, 2.95, 3.08, 4.90, 2.96, 2.90]
+    head = [3.94, 4.57, 3.04, 5.31, 4.14, None]
+    results = _results("artifact-roundtrip/seed7", {"op_p50_ms": (base, head)})
+    assert ab.beyond_bounds(results) == [
+        "artifact-roundtrip/seed7: op_p50_ms 3.08 -> 4.14 (+34.4%) is beyond its bound of 25%; "
+        "runs base [2.95 2.96 3.08 4.36 4.9], head [3.04 3.94 4.14 4.57 5.31]"]
 
 
 def test_a_run_without_a_result_fails(tmp_path):

@@ -35,9 +35,11 @@ A metric whose BENCHMARK.json entry has a ``bound`` (the end-to-end ones)
 is flagged ``beyond_bound`` when HEAD's median is worse than the base's by
 more than that bound, as a share of the base's median (never when that
 median is 0).  Each hit prints a ``BEYOND BOUND:`` line; it is a warning
-and leaves the exit status alone.  The line for ``setup_s`` also quotes
-both sides' pooled probe medians, since setup_s is the median of only a
-few probes per run and swings between two levels on identical code.
+and leaves the exit status alone.  The line lists each side's run values
+of that metric, sorted, so a reader can see whether one run in a slow
+mode moved a median.  The line for ``setup_s`` also quotes both sides'
+pooled probe medians, since setup_s is the median of only a few probes
+per run and swings between two levels on identical code.
 
 Exit status: 0 when every run passed its checks and both sides produced
 the same digests; 1 otherwise; 2 for a usage error.
@@ -135,21 +137,25 @@ def declared(root: Path) -> dict[str, dict]:
     return {m["name"]: m for m in spec["end_to_end"] + spec.get("per_layer", [])}
 
 
-def summarize(runs: list[dict], spec: dict[str, dict]) -> dict:
-    """Per-metric comparison of one workload and seed; runs hold "pair" and "side".
-    Each metric is compared over the pairs whose two runs both report it, so a
-    failed run costs its pair only; a metric with fewer than two such pairs
-    is left out."""
+def paired_values(runs: list[dict], name: str) -> dict[str, list[float]]:
+    """Per side, in pair order, the metric's value from each pair whose two
+    runs both report it; runs hold "pair" and "side"."""
     metrics = {(r["pair"], r["side"]): r["metrics"] for r in runs}
-    pairs = sorted({r["pair"] for r in runs})
+    both = [p for p in sorted({r["pair"] for r in runs}) if all(name in metrics[p, side] for side in SIDES)]
+    return {side: [metrics[p, side][name] for p in both] for side in SIDES}
+
+
+def summarize(runs: list[dict], spec: dict[str, dict]) -> dict:
+    """Per-metric comparison of one workload and seed.  Each metric is
+    compared over the pairs whose two runs both report it, so a failed run
+    costs its pair only; a metric with fewer than two such pairs is left out."""
     out = {}
-    for name in sorted(set().union(*metrics.values())):
-        both = [p for p in pairs if all(name in metrics[p, side] for side in SIDES)]
-        if len(both) >= 2:
+    for name in sorted(set().union(*(r["metrics"] for r in runs))):
+        values = paired_values(runs, name)
+        if len(values["base"]) >= 2:
             entry = spec.get(name, {})
-            out[name] = {"pairs": len(both), **compare([metrics[p, "base"][name] for p in both],
-                                                       [metrics[p, "head"][name] for p in both],
-                                                       entry.get("better"), entry.get("bound"))}
+            out[name] = {"pairs": len(values["base"]),
+                         **compare(values["base"], values["head"], entry.get("better"), entry.get("bound"))}
     return out
 
 
@@ -212,15 +218,18 @@ def problems(results: dict) -> list[str]:
 
 def beyond_bounds(results: dict) -> list[str]:
     """One line per metric whose HEAD median is worse than the base's by more
-    than its bound; the setup_s line also quotes both sides' pooled probe
-    medians."""
+    than its bound, with each side's compared run values sorted; the setup_s
+    line also quotes both sides' pooled probe medians."""
     lines = []
     for key, res in results.items():
         for name, m in res["metrics"].items():
             if not m.get("beyond_bound"):
                 continue
+            values = paired_values(res["runs"], name)
             line = (f"{key}: {name} {m['base']['median']:.4g} -> {m['head']['median']:.4g} "
-                    f"({m['change']:+.1%}) is beyond its bound of {m['bound']:.0%}")
+                    f"({m['change']:+.1%}) is beyond its bound of {m['bound']:.0%}; runs "
+                    + ", ".join(f"{side} [{' '.join(f'{v:.4g}' for v in sorted(values[side]))}]"
+                                for side in SIDES))
             pooled = res["setup_probes"]
             if name == "setup_s" and set(pooled) == set(SIDES):
                 line += (f"; pooled setup probes {pooled['base']['median']:.4g} -> "
