@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
 from collections.abc import Callable
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
@@ -31,6 +33,8 @@ TIME_BUDGET_FACTOR = 2.5
 
 # Samples per block when the burst power scans for the burst's edges.
 _SCAN_BLOCK = 4096
+# Longest piece whose squares the burst power sums as one array.
+_SQUARE_BLOCK = 32768
 
 
 @dataclass(frozen=True)
@@ -128,11 +132,25 @@ def _first_above(samples: np.ndarray, floor: float) -> int | None:
     return None
 
 
+def _square_sum(x: np.ndarray) -> float:
+    """np.add.reduce(x * x), bit for bit, with no full-length squares array.
+
+    numpy sums a contiguous float64 array pairwise, splitting a run of n at
+    n // 16 * 8; splitting at the same places, down to pieces of at most
+    _SQUARE_BLOCK, and adding the halves' sums repeats its every addition.
+    """
+    if len(x) <= _SQUARE_BLOCK:
+        return np.add.reduce(x * x)
+    half = len(x) // 16 * 8
+    return _square_sum(x[:half]) + _square_sum(x[half:])
+
+
 def _burst_power(samples: np.ndarray) -> float:
     """Mean power over the active burst, excluding leading/trailing silence.
 
-    The burst edges come from blocks scanned in from each end, so the only
-    full-length temporary is the burst's squares, which np.mean sums whole.
+    The burst edges come from blocks scanned in from each end and the
+    squares are summed a piece at a time, so nothing full-length is built;
+    the result is np.mean(burst * burst).
     """
     if not len(samples):
         return 0.0
@@ -145,7 +163,7 @@ def _burst_power(samples: np.ndarray) -> float:
         burst = samples
     else:
         burst = samples[first : len(samples) - _first_above(samples[::-1], floor)]
-    return float(np.mean(burst * burst))
+    return float(_square_sum(burst) / len(burst))
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -164,28 +182,59 @@ def _snr_ratio(snr_db: float) -> float:
     return ratio
 
 
+_worker = None
+_worker_lock = threading.Lock()
+
+
+def _noise_worker():
+    """The process's one noise-drawing thread pool, made on first use: a
+    pool per run paid a thread start and join every run."""
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            from concurrent.futures import ThreadPoolExecutor  # here: runs that draw no noise skip its import
+
+            _worker = ThreadPoolExecutor(1, thread_name_prefix="airgaplab-noise")
+        return _worker
+
+
+def _forget_worker() -> None:
+    """In a forked child: the parent's worker thread does not exist there,
+    and its pool, which counts the thread as idle, would never run a draw."""
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_worker)
+
+
 @contextmanager
 def noise_draw(preset: ChannelPreset, n_samples: int, snr_db: float = DEFAULT_SNR_DB, seed: int = 0):
     """Start the unit-variance noise of one waveform channel pass.
 
     Yields a pending draw of n_samples for apply_waveform_channel's `noise`,
     which adds it to a signal of that length for the same preset, SNR and
-    seed.  The SNR is checked before anything is drawn.  For a banded
-    preset at finite SNR one worker thread draws while the block runs, and
-    leaving the block waits for it; otherwise the draw runs on the
-    calling thread when the channel asks for it.
+    seed.  The SNR is checked before anything is drawn.  At finite SNR the
+    block's thread allocates the buffer and one long-lived worker thread
+    fills it while the block runs; leaving the block, also by an exception,
+    waits for the fill.  At infinite SNR, where the channel asks for no
+    noise, nothing is allocated or started.
     """
     if preset.kind != WAVEFORM:
         raise ValueError(f"preset {preset.name!r} is not a waveform channel")
     _snr_ratio(snr_db)
-    draw = functools.partial(_rng(seed).standard_normal, n_samples)
-    if preset.band is None or math.isinf(snr_db):
-        yield draw
+    if math.isinf(snr_db):
+        yield functools.partial(_rng(seed).standard_normal, n_samples)
         return
-    from concurrent.futures import ThreadPoolExecutor  # here: only banded presets pay its import
-
-    with ThreadPoolExecutor(1) as pool:
-        yield pool.submit(draw).result
+    # Allocated on this thread: an array the worker allocated came from its
+    # own malloc arena and took about 1 000 page faults a gsmem run.
+    # standard_normal(out=buf) draws the stream standard_normal(n) returns.
+    buf = np.empty(n_samples)
+    pending = _noise_worker().submit(_rng(seed).standard_normal, out=buf)
+    try:
+        yield pending.result
+    finally:
+        pending.exception()  # waits for the fill without raising its error over the block's
 
 
 def apply_waveform_channel(
@@ -203,8 +252,8 @@ def apply_waveform_channel(
     a NaN or -inf SNR, or one so low that its power ratio underflows to
     zero, raises ValueError before any noise is drawn.  `noise` is a draw
     from noise_draw started for this call; without one the call starts its
-    own, so with a passband one worker thread draws while this thread
-    filters.  numpy's normal(0, s) is 0 + s*z over the same standard
+    own, so the noise worker draws while this thread filters and measures
+    the burst.  numpy's normal(0, s) is 0 + s*z over the same standard
     normal stream, so the samples are those of normal(0, s, n) + filtered
     either way.
     """

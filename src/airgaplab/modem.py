@@ -165,9 +165,11 @@ class _ToneBank:
 
     A window's energy |sum x[n] exp(-j w n)|^2 does not depend on where n
     starts counting, so each window, as a row of samples, is dotted with
-    every row of one small (2*tones x width) cos/sin table.  Windows are
-    gathered BLOCK at a time straight from the samples; a window past
-    either end reads zeros there, as if clipped.
+    every row of one small (2*tones x width) cos/sin table.  Windows that
+    are back to back, each width long and inside the signal (as at offset
+    0 on an integer grid), are the rows of a reshaped view of the samples;
+    others are gathered BLOCK at a time straight from the samples, and a
+    window past either end reads zeros there, as if clipped.
     """
 
     BLOCK = 64
@@ -197,15 +199,20 @@ class _ToneBank:
         OOK: correlation energy at the carrier.  BFSK: energy(mark) - energy(space).
         """
         bounds = _symbol_boundaries(n_symbols, self.cfg) + offset
-        starts, short = bounds[:-1], np.diff(bounds) < self.width  # short: floor(sps)-long windows
-        proj = np.empty((n_symbols, len(self._table)))
-        for i in range(0, n_symbols, self.BLOCK):
-            windows = self._windows(starts[i : i + self.BLOCK])
-            windows[short[i : i + self.BLOCK], -1] = 0.0
-            # Per-window dot products, not a threaded windows @ table GEMM:
-            # after the GEMM, OpenBLAS workers hold the second CPU that the
-            # channel's noise thread needs.
-            proj[i : i + self.BLOCK] = np.vecdot(windows[:, None, :], self._table)
+        lengths = np.diff(bounds)
+        # Per-window dot products, not a threaded windows @ table GEMM:
+        # after the GEMM, OpenBLAS workers hold the second CPU that the
+        # channel's noise thread needs.
+        if 0 <= bounds[0] and bounds[-1] <= len(self.samples) and (lengths == self.width).all():
+            windows = self.samples[bounds[0] : bounds[-1]].reshape(n_symbols, self.width)
+            proj = np.vecdot(windows[:, None, :], self._table)
+        else:
+            starts, short = bounds[:-1], lengths < self.width  # short: floor(sps)-long windows
+            proj = np.empty((n_symbols, len(self._table)))
+            for i in range(0, n_symbols, self.BLOCK):
+                windows = self._windows(starts[i : i + self.BLOCK])
+                windows[short[i : i + self.BLOCK], -1] = 0.0
+                proj[i : i + self.BLOCK] = np.vecdot(windows[:, None, :], self._table)
         energies = (proj.reshape(len(proj), 2, -1) ** 2).sum(axis=1)  # cos^2 + sin^2 per tone
         if self.cfg.scheme == "ook":
             return energies[:, 0]

@@ -240,6 +240,16 @@ def test_beyond_bound_lists_each_sides_sorted_run_values():
         "runs base [2.95 2.96 3.08 4.36 4.9], head [3.04 3.94 4.14 4.57 5.31]"]
 
 
+def test_verdicts_give_one_line_per_end_to_end_metric():
+    """In the order asked for; a metric no pair reported is left out."""
+    base = [100.0, 102.0, 98.0, 101.0, 99.0, 100.0, 103.0, 97.0, 100.0, 101.0]
+    results = _results("acoustic-exfil/seed7", {"op_p50_ms": (base, [b * 0.8 for b in base]),
+                                                "setup_s": ([0.2] * 10, [0.2] * 9 + [0.25])})
+    assert ab.verdicts(results, ["ops_per_s", "setup_s", "op_p50_ms"]) == [
+        "acoustic-exfil/seed7: setup_s 0.2 -> 0.2 (+0.0%), HEAD won 0 of 10 pairs, claim rule not met",
+        "acoustic-exfil/seed7: op_p50_ms 100 -> 80 (-20.0%), HEAD won 10 of 10 pairs, claim rule met"]
+
+
 def test_a_run_without_a_result_fails(tmp_path):
     results = _measure(tmp_path)
     results["artifact-roundtrip/seed1"]["runs"][1]["correct"] = False

@@ -1,17 +1,23 @@
 """Channel-model tests: preset catalog, AWGN calibration, trace jitter."""
 
 import math
+import os
 import random
+import subprocess
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import airgaplab
+from airgaplab import channel
 from airgaplab.channel import (
     TIME_BUDGET_FACTOR,
     apply_trace_channel,
@@ -23,8 +29,11 @@ from airgaplab.channel import (
     _bandpass,
     _burst_power,
     _rng,
+    _square_sum,
 )
-from airgaplab.modem import EventTrace, ModemConfig, Waveform, bfsk_modulate, trace_modulate
+from airgaplab.harness import waveform_modem_config
+from airgaplab.keyframe import frame_encode
+from airgaplab.modem import EventTrace, ModemConfig, Waveform, bfsk_modulate, sample_count, trace_modulate
 
 BFSK = ModemConfig(tones=(17500, 18500), symbol_rate=20, sample_rate=48000)
 
@@ -199,16 +208,30 @@ class TestNoiseDraw:
         want = apply_waveform_channel(w, lookup(preset), snr_db=snr_db, seed=5)
         assert np.array_equal(got.samples, want.samples)
 
-    @pytest.mark.parametrize("preset, snr_db", [("radiot", 10.0), ("ultrasonic", math.inf)])
-    def test_no_worker_thread_without_band_or_noise(self, monkeypatch, preset, snr_db):
+    @pytest.mark.parametrize("preset", ["ultrasonic", "radiot"])
+    def test_nothing_submitted_at_infinite_snr(self, monkeypatch, preset):
         def submit(*args, **kwargs):
-            pytest.fail("noise drawn on a worker thread")
+            pytest.fail("noise drawn for a run that adds none")
 
         monkeypatch.setattr(ThreadPoolExecutor, "submit", submit)
         w = bfsk_modulate([1, 0, 1], BFSK)
-        with noise_draw(lookup(preset), len(w.samples), snr_db, seed=5) as noise:
-            apply_waveform_channel(w, lookup(preset), snr_db=snr_db, seed=5, noise=noise)
-        apply_waveform_channel(w, lookup(preset), snr_db=snr_db, seed=5)
+        with noise_draw(lookup(preset), len(w.samples), math.inf, seed=5) as noise:
+            apply_waveform_channel(w, lookup(preset), snr_db=math.inf, seed=5, noise=noise)
+        apply_waveform_channel(w, lookup(preset), snr_db=math.inf, seed=5)
+
+    def test_unbanded_preset_at_finite_snr_submits_once(self, monkeypatch):
+        submitted = []
+        submit = ThreadPoolExecutor.submit
+
+        def counted(pool, *args, **kwargs):
+            submitted.append(args[0])
+            return submit(pool, *args, **kwargs)
+
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", counted)
+        w = bfsk_modulate([1, 0, 1], BFSK)
+        with noise_draw(lookup("radiot"), len(w.samples), 10.0, seed=5) as noise:
+            apply_waveform_channel(w, lookup("radiot"), snr_db=10.0, seed=5, noise=noise)
+        assert len(submitted) == 1
 
     @pytest.mark.parametrize("snr_db", [math.nan, -math.inf, -4000.0])
     def test_unusable_snr_rejected_before_the_draw_starts(self, monkeypatch, snr_db):
@@ -224,6 +247,74 @@ class TestNoiseDraw:
         with pytest.raises(ValueError, match="not a waveform channel"):
             with noise_draw(lookup("kbd_led"), 10):
                 pass
+
+
+def recording_rng(monkeypatch):
+    """Swaps the channel's noise stream for one that lists the thread of each
+    draw; returns that list."""
+    threads = []
+
+    class Recording:
+        def __init__(self, seed):
+            self.gen = _rng(seed)
+
+        def standard_normal(self, *args, **kwargs):
+            threads.append(threading.current_thread())
+            return self.gen.standard_normal(*args, **kwargs)
+
+    monkeypatch.setattr(channel, "_rng", Recording)
+    return threads
+
+
+class TestNoiseWorker:
+    def test_runs_draw_on_one_worker_thread(self, monkeypatch):
+        threads = recording_rng(monkeypatch)
+        w = bfsk_modulate([1, 0, 1, 1], BFSK)
+        for preset in ("radiot", "ultrasonic", "radiot"):
+            want = normal_oracle(w, lookup(preset), 10.0, 3)
+            assert np.array_equal(apply_waveform_channel(w, lookup(preset), snr_db=10.0, seed=3).samples, want)
+        assert len(threads) == 3 and len(set(threads)) == 1
+        assert threads[0] is not threading.current_thread()
+
+    def test_an_error_in_the_block_waits_for_the_draw(self, monkeypatch):
+        filled = threading.Event()
+
+        class Slow:
+            def __init__(self, seed):
+                pass
+
+            def standard_normal(self, out):
+                time.sleep(0.2)
+                out[:] = 0.0
+                filled.set()
+                return out
+
+        monkeypatch.setattr(channel, "_rng", Slow)
+        with pytest.raises(RuntimeError, match="inside the block"):
+            with noise_draw(lookup("radiot"), 10, 10.0, seed=1):
+                raise RuntimeError("inside the block")
+        assert filled.is_set()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="POSIX only")
+    def test_forked_child_draws_on_its_own_worker(self):
+        # A fresh interpreter forks, not this one; the child's alarm ends it
+        # should its draw never run.
+        script = """
+import os, signal
+from airgaplab.harness import ScenarioConfig, run_scenario
+run_scenario(ScenarioConfig(channel="radiot", seed=1))
+pid = os.fork()
+if pid == 0:
+    signal.alarm(60)
+    report = run_scenario(ScenarioConfig(channel="radiot", seed=2)).report
+    os._exit(0 if report.error_kind == "" else 3)
+print("child exit", os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+        src = str(Path(airgaplab.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                                check=True, timeout=120)
+        assert result.stdout.splitlines()[-1] == "child exit 0"
 
 
 class TestHostileSnr:
@@ -282,6 +373,28 @@ class TestBurstPower:
     )
     def test_examples(self, samples, want):
         assert _burst_power(np.asarray(samples, dtype=np.float64)) == want
+
+
+def preset_sample_counts():
+    key_bits = len(frame_encode(bytes(32)))
+    return [sample_count(key_bits, waveform_modem_config(p)) for p in preset_catalog() if p.kind == "waveform"]
+
+
+class TestSquareSum:
+    """The burst power's piecewise sum against numpy's own: this fails if a
+    numpy release moves where its pairwise summation splits."""
+
+    def test_equals_one_numpy_sum_at_every_length(self):
+        rng = np.random.default_rng(26)
+        signal = rng.standard_normal(3_000_000)
+        counts = preset_sample_counts()
+        assert len(counts) == 7
+        lengths = counts + [int(n) for n in np.exp(rng.uniform(0.0, np.log(3_000_000), 200))]
+        lengths += [0, 1, 8, 32768, 32769, 65536, 65537, 3_000_000]
+        for n in lengths:
+            start = int(rng.integers(0, len(signal) - n + 1))
+            x = signal[start : start + n] * rng.choice([1e-3, 1.0, 1e6])
+            assert _square_sum(x) == np.add.reduce(x * x), n
 
 
 class TestTraceChannel:

@@ -351,19 +351,19 @@ class TestStartup:
         script = f"""
 import sys
 from airgaplab.cli import main
-codes = [main(["presets"]), main(["table4"]), main(["usb", "create", "--image", {image!r}, "--size-mib", "4"]),
-         main(["exfil", "--channel", "radiot", "--seed", "1"])]
+codes = [main(["presets"]), main(["table4"]), main(["usb", "create", "--image", {image!r}, "--size-mib", "4"])]
+print("futures", "concurrent.futures" in sys.modules)
+codes.append(main(["exfil", "--channel", "radiot", "--seed", "1"]))
 print(codes, "scipy.signal" in sys.modules)
 print("futures", "concurrent.futures" in sys.modules)
 codes.append(main(["exfil", "--channel", "ultrasonic", "--seed", "1"]))
 print(codes, "scipy.signal" in sys.modules)
-print("futures", "concurrent.futures" in sys.modules)
 """
         src = str(Path(airgaplab.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
         verdicts = [line for line in result.stdout.splitlines() if line.startswith("[")]
         assert verdicts == ["[0, 0, 0, 0] False", "[0, 0, 0, 0, 0] True"]
-        # The banded channel's noise thread: no executor module before it.
+        # The noise worker: no executor module before the first noisy run.
         futures = [line for line in result.stdout.splitlines() if line.startswith("futures ")]
         assert futures == ["futures False", "futures True"]

@@ -393,6 +393,18 @@ class TestReceiverOracle:
             _demodulate(Waveform(cfg.sample_rate, received), cfg)
         assert np.array_equal(received, samples)  # short windows are zeroed in the gathered copy only
 
+    @pytest.mark.parametrize("preset", ["airhopper", "gsmem", "radiot", "powerhammer", "magnetic", "ultrasonic", "mosquito"])
+    def test_preset_grid_reads_windows_in_place(self, monkeypatch, preset):
+        from airgaplab.harness import ScenarioConfig, run_scenario, waveform_modem_config
+        from airgaplab.channel import lookup
+
+        cfg = waveform_modem_config(lookup(preset))
+        samples = run_scenario(ScenarioConfig(channel=preset, seed=4)).received.samples
+        n_symbols = round(len(samples) / cfg.samples_per_symbol)
+        monkeypatch.setattr(_ToneBank, "_windows", lambda bank, starts: pytest.fail("windows gathered"))
+        got = _ToneBank(samples, cfg).soft_symbols(0, n_symbols)
+        assert np.array_equal(got, padded_soft_symbols(samples, cfg, 0, n_symbols))
+
 
 def exact_phase_waveform(bits, cfg):
     """Each sample from its exact phase.  The tone cycles elapsed before a

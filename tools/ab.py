@@ -31,6 +31,10 @@ recorded as failed ("timed out"), and the session goes on to the next.  A
 failed run drops only its own pair from the metric summary.  SIGTERM kills
 the running benchmark, removes the base export and exits with status 143.
 
+After the runs, one line per workload, seed and end-to-end metric gives
+the base and HEAD medians, the change, HEAD's wins out of the pairs and
+whether the claim rule is met, so the verdicts need no walk of the JSON.
+
 A metric whose BENCHMARK.json entry has a ``bound`` (the end-to-end ones)
 is flagged ``beyond_bound`` when HEAD's median is worse than the base's by
 more than that bound, as a share of the base's median (never when that
@@ -137,6 +141,11 @@ def declared(root: Path) -> dict[str, dict]:
     return {m["name"]: m for m in spec["end_to_end"] + spec.get("per_layer", [])}
 
 
+def end_to_end(root: Path) -> list[str]:
+    """The end-to-end metric names of root's BENCHMARK.json, in its order."""
+    return [m["name"] for m in json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]]
+
+
 def paired_values(runs: list[dict], name: str) -> dict[str, list[float]]:
     """Per side, in pair order, the metric's value from each pair whose two
     runs both report it; runs hold "pair" and "side"."""
@@ -238,6 +247,22 @@ def beyond_bounds(results: dict) -> list[str]:
     return lines
 
 
+def verdicts(results: dict, names: list[str]) -> list[str]:
+    """One line per workload, seed and named metric that was compared with a
+    direction: both medians, the change, HEAD's pair wins and the claim."""
+    lines = []
+    for key, res in results.items():
+        for name in names:
+            m = res["metrics"].get(name)
+            if m is None or "better" not in m:
+                continue
+            change = "n/a" if m["change"] is None else f"{m['change']:+.1%}"
+            lines.append(f"{key}: {name} {m['base']['median']:.4g} -> {m['head']['median']:.4g} ({change}), "
+                         f"HEAD won {m['head_wins']} of {m['pairs']} pairs, "
+                         f"claim rule {'met' if m['claim'] else 'not met'}")
+    return lines
+
+
 def src_lines(roots: dict[str, Path]) -> dict[str, int]:
     """Lines of ``src/**/*.py`` in each side's tree, and HEAD's net change."""
     counts = {side: sum(len(path.read_text().splitlines())
@@ -311,6 +336,8 @@ def main(argv=None) -> int:
         "src_lines": lines,
     }
     args.out.write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n")
+    for line in verdicts(results, end_to_end(ROOT)):
+        print(line)
     for line in beyond_bounds(results):
         sys.stderr.write(f"BEYOND BOUND: {line}\n")
     for line in found:
