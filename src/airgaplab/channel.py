@@ -33,8 +33,9 @@ TIME_BUDGET_FACTOR = 2.5
 
 # Samples per block when the burst power scans for the burst's edges.
 _SCAN_BLOCK = 4096
-# Longest piece whose squares the burst power sums as one array.
-_SQUARE_BLOCK = 32768
+# Longest piece that the burst power squares, or that the noise scaling
+# reads and writes, as one array: a piece stays in cache between passes.
+_PIECE = 32768
 
 
 @dataclass(frozen=True)
@@ -137,9 +138,9 @@ def _square_sum(x: np.ndarray) -> float:
 
     numpy sums a contiguous float64 array pairwise, splitting a run of n at
     n // 16 * 8; splitting at the same places, down to pieces of at most
-    _SQUARE_BLOCK, and adding the halves' sums repeats its every addition.
+    _PIECE, and adding the halves' sums repeats its every addition.
     """
-    if len(x) <= _SQUARE_BLOCK:
+    if len(x) <= _PIECE:
         return np.add.reduce(x * x)
     half = len(x) // 16 * 8
     return _square_sum(x[:half]) + _square_sum(x[half:])
@@ -268,8 +269,11 @@ def apply_waveform_channel(
                 return Waveform(w.sample_rate, out)
         power = _burst_power(out)
         samples = noise()
-    samples *= math.sqrt(power / _snr_ratio(snr_db))
-    samples += out
+    scale = math.sqrt(power / _snr_ratio(snr_db))
+    for a in range(0, len(samples), _PIECE):
+        piece = samples[a : a + _PIECE]
+        piece *= scale
+        piece += out[a : a + _PIECE]
     return Waveform(w.sample_rate, samples)
 
 
